@@ -36,6 +36,7 @@ from .objective import (
     TabularEvaluator,
     normalize_latency,
     oriented_values,
+    read_measurements_jsonl,
 )
 from .predictor import PREDICTOR_KINDS, analyze_predictors, featurize_batch
 from .space import BUILTIN_SPACES, SearchSpace, builtin_space
@@ -582,6 +583,9 @@ def _cmd_predictor_analysis(args) -> int:
             genotypes.append(g)
     X = featurize_batch(space, genotypes)
     Y = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
+    rejected = int(np.isnan(Y).all(axis=1).sum())
+    if rejected:
+        raise ValueError(f"the evaluator rejected {rejected} of {needed} sampled configurations")
     report = analyze_predictors(
         X,
         Y[:, target],
@@ -608,19 +612,11 @@ def _cmd_predictor_analysis(args) -> int:
 
 def _read_measurements(path: str) -> list[Measurement]:
     try:
-        fh = open(path, encoding="utf-8")
+        records = read_measurements_jsonl(path)
     except OSError as exc:
         raise ConfigError("input", f"cannot read {path}: {exc}")
-    records = []
-    with fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(Measurement.from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ConfigError("input", f"{path}:{ln}: {exc}")
+    except ValueError as exc:
+        raise ConfigError("input", str(exc))
     if not records:
         raise ConfigError("input", f"{path}: no measurements")
     arity = {len(m.values) for m in records}

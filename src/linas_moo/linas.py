@@ -20,16 +20,13 @@ from .moea import (
     Individual,
     SearchOutcome,
     SpaceExhaustedError,
+    _measure_new,
     rank_and_crowd,
     run_nsga2,
     sample_fresh_into_store,
     search_rng,
 )
-from .objective import (
-    ConfigurationRejectedError,
-    EvaluationStore,
-    ObjectiveSpec,
-)
+from .objective import EvaluationStore, ObjectiveSpec
 from .predictor import PREDICTOR_KINDS, featurize_batch, make_predictor
 from .space import Genotype, SearchSpace
 
@@ -48,10 +45,6 @@ class PredictorEvaluator:
 
     space: SearchSpace
     models: tuple
-
-    def evaluate(self, genotype: Genotype) -> tuple[float, ...]:
-        X = featurize_batch(self.space, [genotype])
-        return tuple(float(m.predict(X)[0]) for m in self.models)
 
     def evaluate_batch(self, genotypes) -> np.ndarray:
         X = featurize_batch(self.space, genotypes)
@@ -200,16 +193,7 @@ def run_linas(
     inner_outcome: SearchOutcome | None = None
     promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
-        fresh = 0
-        for g in promoted:
-            try:
-                values = evaluator.evaluate(g)
-            except ConfigurationRejectedError:
-                continue
-            _, inserted = store.insert(
-                g, values, source=LINAS_SOURCE, iteration=it
-            )
-            fresh += inserted
+        fresh = len(_measure_new(store, evaluator, promoted, LINAS_SOURCE, it))
         if fresh < config.population_size:
             sample_fresh_into_store(
                 space,

@@ -19,6 +19,13 @@ def store_objective_matrix(store: EvaluationStore) -> np.ndarray:
     return oriented_values(store.values_matrix(), store.objectives)
 
 
+def _domination_matrix(F: np.ndarray) -> np.ndarray:
+    """``D[i, j]`` is True when row i strictly dominates row j (minimization)."""
+    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
+    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
+    return le & lt
+
+
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not strictly dominated by any other row.
 
@@ -29,9 +36,7 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         raise ValueError("need an (N, m) matrix")
     if F.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    return ~np.any(le & lt, axis=0)
+    return ~np.any(_domination_matrix(F), axis=0)
 
 
 def pareto_front(values: np.ndarray, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:

@@ -4,6 +4,10 @@ Both searches measure through an :class:`EvaluationStore`, so a duplicate
 offspring reuses the stored measurement without consuming budget and the
 budget counts distinct configurations. Objectives are handled internally in
 minimization convention; evaluators stay in natural directions.
+
+An evaluator has one method, ``evaluate_batch(genotypes)``, returning a
+``(B, m)`` float array of raw values. An all-NaN row marks a configuration
+the evaluator rejects: searches skip it and spend no budget on it.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .metrics import _domination_matrix
 from .objective import (
-    ConfigurationRejectedError,
     EvaluationStore,
     Measurement,
     ObjectiveSpec,
+    StoreContractError,
     oriented_values,
 )
 from .space import Genotype, SearchSpace
@@ -115,13 +120,6 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def _domination_matrix(F: np.ndarray) -> np.ndarray:
-    """``D[i, j]`` is True when row i dominates row j."""
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    return le & lt
-
-
 def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     """Partition rows into Pareto fronts (lists of index arrays, best first)."""
     F = np.asarray(objectives, dtype=np.float64)
@@ -213,68 +211,67 @@ def _cut_points(rng: np.random.Generator, length: int, pairs: int) -> tuple[np.n
 
 
 def crossover_two_point(
-    rng: np.random.Generator, a, b
+    rng: np.random.Generator, A, B, prob: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Swap the segment between two distinct sorted cut points.
+    """Two-point crossover over ``(k, n)`` parent pairs.
 
-    Cut points live on the boundaries 0..len, so the swapped slice is
-    ``[lo:hi)`` and never empty.
+    Each pair crosses with probability ``prob`` and then swaps the segment
+    between two distinct sorted cut points. Cut points live on the
+    boundaries 0..n, so a swapped slice ``[lo:hi)`` is never empty.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("parents must be equal-length vectors of length >= 2")
-    lo, hi = _cut_points(rng, a.size, 1)
-    mask = (np.arange(a.size) >= lo[0]) & (np.arange(a.size) < hi[0])
-    return np.where(mask, b, a), np.where(mask, a, b)
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if A.shape != B.shape or A.ndim != 2 or A.shape[1] < 2:
+        raise ValueError("parents must be equal-shape (k, n) arrays with n >= 2")
+    k, n = A.shape
+    do_cross = rng.random(k) < prob
+    lo, hi = _cut_points(rng, n, k)
+    span = np.arange(n)
+    swap = (span >= lo[:, None]) & (span < hi[:, None]) & do_cross[:, None]
+    return np.where(swap, B, A), np.where(swap, A, B)
 
 
-def _mutate_batch(
-    rng: np.random.Generator,
-    G: np.ndarray,
-    option_counts: np.ndarray,
-    prob: float,
+def mutate(
+    rng: np.random.Generator, G, option_counts, prob: float
 ) -> np.ndarray:
-    """Per-position mutation to a uniformly chosen different option index."""
+    """Per-position mutation of ``(B, n)`` genotypes.
+
+    Each hit position moves to a uniformly chosen different option index.
+    """
+    G = np.asarray(G, dtype=np.int64)
+    option_counts = np.asarray(option_counts, dtype=np.int64)
     hits = (rng.random(G.shape) < prob) & (option_counts > 1)
     draw = rng.integers(0, np.maximum(option_counts - 1, 1), size=G.shape)
     replacement = draw + (draw >= G)
     return np.where(hits, replacement, G)
 
 
-def mutate(
-    rng: np.random.Generator, genotype, option_counts, prob: float
-) -> np.ndarray:
-    """Single-genotype view of :func:`_mutate_batch`."""
-    g = np.asarray(genotype, dtype=np.int64)[None, :]
-    counts = np.asarray(option_counts, dtype=np.int64)
-    return _mutate_batch(rng, g, counts, prob)[0]
-
-
-def _measure_one(
+def _measure_new(
     store: EvaluationStore,
     evaluator,
-    genotype: Genotype,
-    budget_left: int,
+    genotypes: Sequence[Genotype],
     source: str,
     iteration: int,
-) -> tuple[Measurement | None, int]:
-    """Resolve one canonical genotype through the store.
+) -> list[Measurement]:
+    """Measure distinct unseen canonical genotypes in one batch.
 
-    Returns (measurement or None, budget consumed). None means the config
-    was rejected by the evaluator or the budget is exhausted.
+    Stores every accepted row and returns the new measurements in order.
+    All-NaN rows (rejected configurations) are skipped; any other
+    non-finite row makes the store raise :class:`StoreContractError`.
     """
-    hit = store.get(genotype)
-    if hit is not None:
-        return hit, 0
-    if budget_left <= 0:
-        return None, 0
-    try:
-        values = evaluator.evaluate(genotype)
-    except ConfigurationRejectedError:
-        return None, 0
-    m, inserted = store.insert(values=values, genotype=genotype, source=source, iteration=iteration)
-    return m, 1 if inserted else 0
+    if not genotypes:
+        return []
+    values = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
+    if values.ndim != 2 or len(values) != len(genotypes):
+        raise StoreContractError(
+            f"evaluator returned shape {values.shape} for {len(genotypes)} genotypes"
+        )
+    rejected = np.isnan(values).all(axis=1)
+    return [
+        store.insert(g, v, source=source, iteration=iteration)[0]
+        for g, v, skip in zip(genotypes, values, rejected)
+        if not skip
+    ]
 
 
 def sample_fresh_into_store(
@@ -288,8 +285,9 @@ def sample_fresh_into_store(
 ) -> list[Measurement]:
     """Uniformly sample until ``count`` new distinct configs are measured.
 
-    Duplicates of stored configs and evaluator-rejected configs are skipped
-    without consuming budget.
+    Each round draws as many distinct unseen configs as are still missing
+    and measures them in one batch. Duplicates of stored configs and
+    evaluator-rejected configs are skipped without consuming budget.
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
@@ -297,26 +295,22 @@ def sample_fresh_into_store(
     new: list[Measurement] = []
     misses = 0
     while len(new) < count:
-        g = space.sample_uniform(rng)
-        if g in store:
-            misses += 1
-            if misses >= _ATTEMPT_CAP:
-                raise SpaceExhaustedError(
-                    f"no unseen config found after {misses} samples"
-                )
-            continue
-        try:
-            values = evaluator.evaluate(g)
-        except ConfigurationRejectedError:
-            misses += 1
-            if misses >= _ATTEMPT_CAP:
-                raise SpaceExhaustedError(
-                    f"no acceptable config found after {misses} samples"
-                )
-            continue
-        m, _ = store.insert(values=values, genotype=g, source=source, iteration=iteration)
-        new.append(m)
-        misses = 0
+        batch: dict[Genotype, None] = {}
+        while len(batch) < count - len(new):
+            g = space.sample_uniform(rng)
+            if g in store or g in batch:
+                misses += 1
+                if misses >= _ATTEMPT_CAP:
+                    raise SpaceExhaustedError(
+                        f"no unseen config found after {misses} samples"
+                    )
+                continue
+            batch[g] = None
+        measured = _measure_new(store, evaluator, list(batch), source, iteration)
+        misses = 0 if measured else misses + len(batch)
+        if misses >= _ATTEMPT_CAP:
+            raise SpaceExhaustedError(f"no acceptable config found after {misses} samples")
+        new.extend(measured)
     return new
 
 
@@ -416,24 +410,22 @@ def run_nsga2(
     budget_left = config.max_evaluations
 
     # Initial population: uniform draws; duplicates allowed and resolved
-    # through the store. Rejected configs are resampled.
-    genotypes: list[Genotype] = []
+    # through the store. Rejected configs are resampled. A population never
+    # outgrows max_evaluations, so the budget cannot run out here.
     rows: list[Measurement] = []
     attempts = 0
     while len(rows) < pop:
-        g = space.sample_uniform(rng)
-        m, used = _measure_one(store, evaluator, g, budget_left, config.source, 0)
-        budget_left -= used
-        if m is None:
-            attempts += 1
-            if attempts >= _ATTEMPT_CAP:
-                raise SpaceExhaustedError(
-                    f"could not assemble an initial population after {attempts} attempts"
-                )
-            continue
-        genotypes.append(m.genotype)
-        rows.append(m)
-    G = np.array(genotypes, dtype=np.int64)
+        draws = [space.sample_uniform(rng) for _ in range(pop - len(rows))]
+        fresh = [g for g in dict.fromkeys(draws) if g not in store]
+        budget_left -= len(_measure_new(store, evaluator, fresh, config.source, 0))
+        kept = [store.get(g) for g in draws if g in store]
+        rows.extend(kept)
+        attempts += len(draws) - len(kept)
+        if attempts >= _ATTEMPT_CAP:
+            raise SpaceExhaustedError(
+                f"could not assemble an initial population after {attempts} attempts"
+            )
+    G = np.array([m.genotype for m in rows], dtype=np.int64)
     F = oriented_values(np.array([m.values for m in rows]), objectives)
     ranks, crowd = rank_and_crowd(F)
 
@@ -450,50 +442,24 @@ def run_nsga2(
         # crossover_prob, every child mutates position-wise.
         n_pairs = (pop + 1) // 2
         parents_idx = tournament_winners(rng, ranks, crowd, 2 * n_pairs)
-        P1 = G[parents_idx[0::2]]
-        P2 = G[parents_idx[1::2]]
-        do_cross = rng.random(n_pairs) < config.crossover_prob
-        lo, hi = _cut_points(rng, space.n_variables, n_pairs)
-        span = np.arange(space.n_variables)
-        swap = (span >= lo[:, None]) & (span < hi[:, None]) & do_cross[:, None]
-        C1 = np.where(swap, P2, P1)
-        C2 = np.where(swap, P1, P2)
+        C1, C2 = crossover_two_point(
+            rng, G[parents_idx[0::2]], G[parents_idx[1::2]], config.crossover_prob
+        )
         children = np.empty((2 * n_pairs, space.n_variables), dtype=np.int64)
         children[0::2] = C1
         children[1::2] = C2
-        children = children[:pop]
-        children = _mutate_batch(rng, children, counts, config.mutation_prob)
+        children = mutate(rng, children[:pop], counts, config.mutation_prob)
         children = space.canonicalize_batch(children)
 
         # Measure: store hits are free, new configs spend budget in child
         # order, overflow and rejected children are dropped.
         child_tuples = [tuple(int(v) for v in row) for row in children]
-        fresh: list[Genotype] = []
-        seen_batch: set[Genotype] = set()
-        for g in child_tuples:
-            if g not in store and g not in seen_batch:
-                seen_batch.add(g)
-                if len(fresh) < budget_left:
-                    fresh.append(g)
-        rejected: set[Genotype] = set()
-        if fresh:
-            try:
-                values = evaluator.evaluate_batch(fresh)
-                for g, v in zip(fresh, values):
-                    store.insert(values=v, genotype=g, source=config.source, iteration=generations)
-                budget_left -= len(fresh)
-            except ConfigurationRejectedError:
-                for g in fresh:
-                    m, used = _measure_one(
-                        store, evaluator, g, budget_left, config.source, generations
-                    )
-                    budget_left -= used
-                    if m is None:
-                        rejected.add(g)
+        fresh = [g for g in dict.fromkeys(child_tuples) if g not in store][:budget_left]
+        measured = _measure_new(store, evaluator, fresh, config.source, generations)
+        budget_left -= len(measured)
+        stall = 0 if measured else stall + 1
 
-        kept = [g for g in child_tuples if g in store and g not in rejected]
-        grew = len(fresh) > 0 and len(rejected) < len(fresh)
-        stall = 0 if grew else stall + 1
+        kept = [g for g in child_tuples if g in store]
         if kept:
             off_G = np.array(kept, dtype=np.int64)
             off_F = oriented_values(

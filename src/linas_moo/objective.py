@@ -34,10 +34,6 @@ class UnknownConfigurationError(KeyError):
     """Raised by a tabular evaluator on a missing row under the error policy."""
 
 
-class ConfigurationRejectedError(RuntimeError):
-    """Signals a config a tabular evaluator cannot score; searches skip it."""
-
-
 class DegenerateScaleError(ValueError):
     """Raised when a normalization denominator is zero."""
 
@@ -216,13 +212,24 @@ class EvaluationStore:
 
 
 def read_measurements_jsonl(path: str | Path) -> list[Measurement]:
-    """Load measurements exported by :meth:`EvaluationStore.to_jsonl`."""
+    """Load measurements exported by :meth:`EvaluationStore.to_jsonl`.
+
+    Raises:
+        ValueError: ``path:line: ...`` on a malformed line, a missing key or
+            a bad genotype.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(Measurement.from_json_obj(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{ln}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
     return out
 
 
@@ -270,8 +277,9 @@ class SyntheticLandscape:
     objectives), 0 decouples them, -1 opposes them.
 
     Coefficients are fully determined by ``(space, seed, rho)``; accuracy
-    noise is drawn per canonical genotype from ``(seed, genotype)`` so
-    repeated evaluations agree bit for bit.
+    noise is drawn per canonical genotype from ``(seed, genotype)``, and the
+    linear terms are row-wise sums, so a configuration's values agree bit for
+    bit across repeated evaluations and whatever batch it is measured in.
     """
 
     space: SearchSpace
@@ -385,10 +393,12 @@ class SyntheticLandscape:
         return float(self._quality_batch(self.space.unit_coordinates_batch([genotype]))[0])
 
     def _quality_batch(self, U: np.ndarray) -> np.ndarray:
-        q = U @ self.quality_weights + self.bias
+        # Row-wise sums, not BLAS mat-vecs, keep each row's value independent
+        # of the batch it sits in.
+        q = (U * self.quality_weights).sum(axis=1) + self.bias
         pi, pj = self._pair_cols
         if pi.size:
-            q = q + (U[:, pi] * U[:, pj]) @ self.pair_weights
+            q = q + (U[:, pi] * U[:, pj] * self.pair_weights).sum(axis=1)
         return q
 
     def _noise(self, genotype: Genotype) -> float:
@@ -399,31 +409,18 @@ class SyntheticLandscape:
         rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
         return float(rng.normal(0.0, self.noise_sd))
 
-    def accuracy(self, genotype: Genotype) -> float:
-        value = float(self._accuracy_batch(self.space.unit_coordinates_batch([genotype]))[0])
-        if self.noise_sd > 0:
-            value += self._noise(self.space.canonicalize(genotype))
-        return value
-
     def _accuracy_batch(self, U: np.ndarray) -> np.ndarray:
         lo, hi = self.accuracy_range
         return lo + (hi - lo) * _logistic(self._quality_batch(U))
 
-    def latency(self, genotype: Genotype) -> float:
-        return float(self._latency_batch(self.space.unit_coordinates_batch([genotype]))[0])
-
     def _latency_batch(self, U: np.ndarray) -> np.ndarray:
         lo, hi = self.latency_range
         total = float(np.sum(self.cost_weights))
-        frac = (U @ self.cost_weights) / total if total > 0 else np.zeros(len(U))
+        frac = (U * self.cost_weights).sum(axis=1) / total if total > 0 else np.zeros(len(U))
         return lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
 
-    def evaluate(self, genotype: Genotype) -> tuple[float, ...]:
-        """Raw ``(accuracy, latency)`` for one genotype."""
-        return (self.accuracy(genotype), self.latency(genotype))
-
     def evaluate_batch(self, genotypes) -> np.ndarray:
-        """Raw values for many genotypes as a ``(B, 2)`` array."""
+        """Raw ``(accuracy, latency)`` rows for many genotypes as a ``(B, 2)`` array."""
         U = self.space.unit_coordinates_batch(genotypes)
         acc = self._accuracy_batch(U)
         if self.noise_sd > 0:
@@ -435,8 +432,8 @@ class SyntheticLandscape:
 class TabularEvaluator:
     """Looks up objective vectors for canonical genotypes in a fixed table.
 
-    Misses either raise (policy ``error``) or mark the config as rejected
-    (policy ``nearest-reject``) so searches skip it; values are never
+    Misses either raise (policy ``error``) or come back as an all-NaN row
+    (policy ``nearest-reject``), which searches skip; values are never
     substituted from neighbouring rows.
     """
 
@@ -493,31 +490,30 @@ class TabularEvaluator:
                 if len(row) != m + 1:
                     raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
                 try:
-                    g = parse_genotype(row[0])
+                    g = space.canonicalize(parse_genotype(row[0]))
                     vals = tuple(float(v) for v in row[1:])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from exc
-                space.validate(g)
-                if space.canonicalize(g) in table:
+                if g in table:
                     raise ValueError(
                         f"{path}:{ln}: duplicate canonical genotype {row[0]}"
                     )
                 table[g] = vals
         return cls(space, table, m, missing_policy)
 
-    def evaluate(self, genotype: Genotype) -> tuple[float, ...]:
-        g = self.space.canonicalize(tuple(int(i) for i in genotype))
-        hit = self._table.get(g)
-        if hit is not None:
-            return hit
-        if self.missing_policy == "error":
-            raise UnknownConfigurationError(
-                f"no table row for genotype {format_genotype(g)}"
-            )
-        raise ConfigurationRejectedError(format_genotype(g))
-
     def evaluate_batch(self, genotypes) -> np.ndarray:
-        return np.array([self.evaluate(g) for g in genotypes], dtype=np.float64)
+        """Table rows as a ``(B, m)`` array; a rejected miss is an all-NaN row."""
+        out = np.full((len(genotypes), self.n_objectives), np.nan)
+        for i, raw in enumerate(genotypes):
+            g = self.space.canonicalize(tuple(int(v) for v in raw))
+            hit = self._table.get(g)
+            if hit is not None:
+                out[i] = hit
+            elif self.missing_policy == "error":
+                raise UnknownConfigurationError(
+                    f"no table row for genotype {format_genotype(g)}"
+                )
+        return out
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

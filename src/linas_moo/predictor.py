@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import Genotype, SearchSpace
+from .space import SearchSpace
 
 DEFAULT_RIDGE_ALPHA = 1.0
 DEFAULT_SVR_C = 10.0
@@ -42,13 +42,8 @@ class UndefinedMetricError(ValueError):
     """Raised when MAPE or Kendall tau has a zero denominator."""
 
 
-def featurize(space: SearchSpace, genotype: Genotype) -> np.ndarray:
-    """Feature vector of one genotype: canonical unit-interval coordinates."""
-    return space.unit_coordinates(genotype)
-
-
 def featurize_batch(space: SearchSpace, genotypes) -> np.ndarray:
-    """Feature matrix ``(B, n_variables)`` for many genotypes."""
+    """Feature matrix ``(B, n_variables)``: canonical unit-interval coordinates."""
     return space.unit_coordinates_batch(genotypes)
 
 

@@ -60,10 +60,6 @@ class CountingEvaluator:
         self.inner = inner
         self.calls = 0
 
-    def evaluate(self, genotype):
-        self.calls += 1
-        return self.inner.evaluate(genotype)
-
     def evaluate_batch(self, genotypes):
         self.calls += len(genotypes)
         return self.inner.evaluate_batch(genotypes)
@@ -74,10 +70,6 @@ class NegatingEvaluator:
 
     def __init__(self, inner):
         self.inner = inner
-
-    def evaluate(self, genotype):
-        a, b = self.inner.evaluate(genotype)
-        return (-a, b)
 
     def evaluate_batch(self, genotypes):
         out = np.array(self.inner.evaluate_batch(genotypes), dtype=np.float64)

@@ -387,6 +387,23 @@ class TestPredictorAnalysisCommand:
         assert main(["predictor-analysis", "-c", write_config(tmp_path, cfg)]) == 4
         assert "capacity error" in capsys.readouterr().err
 
+    def test_rejected_samples_exit_3(self, tmp_path, free_space, capsys):
+        table = {(a, b, c): (float(a + b + c), float(a))
+                 for a in range(2, 4) for b in range(3) for c in range(2)}
+        csv_path = tmp_path / "table.csv"
+        TabularEvaluator(free_space, table, 2).write_csv(csv_path)
+        cfg = {
+            "space": write_toy_space(tmp_path, free_space),
+            "evaluator": {"kind": "tabular", "path": str(csv_path),
+                          "missing_policy": "nearest-reject"},
+            "train_sizes": [5],
+            "trials": 1,
+            "test_size": 10,
+            "output_dir": str(tmp_path / "rep"),
+        }
+        assert main(["predictor-analysis", "-c", write_config(tmp_path, cfg)]) == 3
+        assert "rejected" in capsys.readouterr().err
+
     def test_bad_kind_exit_2(self, tmp_path, capsys):
         cfg = {
             "space": "ncf",

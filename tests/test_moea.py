@@ -28,6 +28,7 @@ from linas_moo.objective import (
     MINIMIZE,
     EvaluationStore,
     ObjectiveSpec,
+    StoreContractError,
     SyntheticLandscape,
     TabularEvaluator,
 )
@@ -60,13 +61,10 @@ ACC_LAT = (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZ
 
 
 class FunctionEvaluator:
-    """Adapts a plain function over genotypes for the search routines."""
+    """Adapts a plain per-genotype function to the batch evaluator protocol."""
 
     def __init__(self, fn):
         self.fn = fn
-
-    def evaluate(self, genotype):
-        return self.fn(genotype)
 
     def evaluate_batch(self, genotypes):
         return np.array([self.fn(g) for g in genotypes], dtype=np.float64)
@@ -223,33 +221,30 @@ class TestTournament:
 
 
 class TestCrossover:
+    @staticmethod
+    def parents(k, n):
+        return np.zeros((k, n), dtype=np.int64), np.ones((k, n), dtype=np.int64)
+
     def test_children_are_complementary(self):
-        rng = search_rng(4)
-        a = np.zeros(8, dtype=np.int64)
-        b = np.ones(8, dtype=np.int64)
-        for _ in range(200):
-            c1, c2 = crossover_two_point(rng, a, b)
-            assert np.array_equal(c1 + c2, np.ones(8, dtype=np.int64))
+        A, B = self.parents(200, 8)
+        C1, C2 = crossover_two_point(search_rng(4), A, B, 1.0)
+        assert np.array_equal(C1 + C2, np.ones((200, 8), dtype=np.int64))
 
     def test_swapped_segment_is_contiguous_and_nonempty(self):
-        rng = search_rng(5)
-        a = np.zeros(8, dtype=np.int64)
-        b = np.ones(8, dtype=np.int64)
-        for _ in range(200):
-            c1, _ = crossover_two_point(rng, a, b)
-            ones = np.nonzero(c1)[0]
+        A, B = self.parents(200, 8)
+        C1, _ = crossover_two_point(search_rng(5), A, B, 1.0)
+        for row in C1:
+            ones = np.nonzero(row)[0]
             assert ones.size >= 1
             assert np.array_equal(ones, np.arange(ones[0], ones[-1] + 1))
 
     def test_cut_pairs_cover_all_boundary_choices_uniformly(self):
         # Length 6 has 7 boundaries, so C(7, 2) = 21 possible (lo, hi) pairs.
-        rng = search_rng(6)
-        a = np.zeros(6, dtype=np.int64)
-        b = np.ones(6, dtype=np.int64)
+        A, B = self.parents(21_000, 6)
+        C1, _ = crossover_two_point(search_rng(6), A, B, 1.0)
         seen = {}
-        for _ in range(21_000):
-            c1, _ = crossover_two_point(rng, a, b)
-            ones = np.nonzero(c1)[0]
+        for row in C1:
+            ones = np.nonzero(row)[0]
             key = (int(ones[0]), int(ones[-1] + 1))
             seen[key] = seen.get(key, 0) + 1
         assert len(seen) == 21
@@ -257,35 +252,42 @@ class TestCrossover:
         scipy_stats = pytest.importorskip("scipy.stats")
         assert scipy_stats.chisquare(counts).pvalue > 1e-3
 
+    def test_probability_gates_each_pair(self):
+        A, B = self.parents(4000, 5)
+        C1, C2 = crossover_two_point(search_rng(3), A, B, 0.0)
+        assert np.array_equal(C1, A) and np.array_equal(C2, B)
+        C1, _ = crossover_two_point(search_rng(3), A, B, 0.25)
+        crossed = C1.any(axis=1).mean()
+        assert abs(crossed - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 4000)
+
     def test_rejects_mismatched_parents(self):
         with pytest.raises(ValueError):
-            crossover_two_point(search_rng(0), np.zeros(3), np.zeros(4))
+            crossover_two_point(search_rng(0), np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
         with pytest.raises(ValueError):
-            crossover_two_point(search_rng(0), np.zeros(1), np.zeros(1))
+            crossover_two_point(search_rng(0), np.zeros((2, 1)), np.zeros((2, 1)), 1.0)
+        with pytest.raises(ValueError):
+            crossover_two_point(search_rng(0), np.zeros(3), np.zeros(3), 1.0)
 
 
 class TestMutate:
     def test_zero_probability_is_identity(self):
         rng = search_rng(7)
-        g = np.array([0, 1, 2, 3])
+        G = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
         counts = np.array([4, 4, 4, 4])
-        assert np.array_equal(mutate(rng, g, counts, 0.0), g)
+        assert np.array_equal(mutate(rng, G, counts, 0.0), G)
 
     def test_unit_probability_changes_every_mutable_position(self):
         rng = search_rng(8)
-        g = np.array([0, 1, 0, 2])
+        G = np.tile([0, 1, 0, 2], (100, 1))
         counts = np.array([4, 4, 1, 3])
-        for _ in range(100):
-            out = mutate(rng, g, counts, 1.0)
-            assert out[2] == 0
-            assert out[0] != 0 and out[1] != 1 and out[3] != 2
-            assert np.all(out >= 0) and np.all(out < counts)
+        out = mutate(rng, G, counts, 1.0)
+        assert np.all(out[:, 2] == 0)
+        assert np.all(out[:, [0, 1, 3]] != G[:, [0, 1, 3]])
+        assert np.all(out >= 0) and np.all(out < counts)
 
     def test_replacement_is_uniform_over_other_options(self):
         rng = search_rng(9)
-        draws = np.array(
-            [mutate(rng, np.array([2]), np.array([5]), 1.0)[0] for _ in range(20_000)]
-        )
+        draws = mutate(rng, np.full((20_000, 1), 2), np.array([5]), 1.0)[:, 0]
         counts = np.bincount(draws, minlength=5)
         assert counts[2] == 0
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -530,9 +532,7 @@ class TestNsga2:
 
     def test_negation_equivalence(self):
         space, land = self.landscape()
-        negated = FunctionEvaluator(
-            lambda g: (lambda v: (-v[0], v[1]))(land.evaluate(g))
-        )
+        negated = FunctionEvaluator(lambda g: land.evaluate_batch([g])[0] * (-1.0, 1.0))
         both_min = (
             ObjectiveSpec("neg_accuracy", MINIMIZE),
             ObjectiveSpec("latency", MINIMIZE),
@@ -561,6 +561,50 @@ class TestNsga2:
         space, land = self.landscape()
         store = EvaluationStore(space, ACC_LAT)
         g = space.sample_uniform(search_rng(0))
-        m, _ = store.insert(g, land.evaluate(g), source="random")
+        m, _ = store.insert(g, land.evaluate_batch([g])[0], source="random")
         ind = Individual.from_measurement(m, ACC_LAT)
         assert ind.objectives == (-m.values[0], m.values[1])
+
+
+def reject_first_option(g):
+    """(sum, a) for configs with a > 0; a = 0 comes back as an all-NaN row."""
+    return (math.nan, math.nan) if g[0] == 0 else (float(sum(g)), float(g[0]))
+
+
+class TestRejectedRows:
+    """An all-NaN row is a rejection: skipped, never stored, no budget spent."""
+
+    def test_random_fills_budget_with_accepted_configs(self, free_space):
+        out = run_random(free_space, FunctionEvaluator(reject_first_option), ACC_LAT, 12, seed=0)
+        assert len(out.store) == 12
+        assert all(m.genotype[0] != 0 for m in out.store)
+
+    def test_nsga2_fills_budget_with_accepted_configs(self, free_space):
+        cfg = EaConfig(population_size=4, max_evaluations=12, seed=2)
+        out = run_nsga2(free_space, FunctionEvaluator(reject_first_option), ACC_LAT, cfg)
+        assert len(out.store) == 12
+        assert all(m.genotype[0] != 0 for m in out.store)
+        assert all(ind.genotype[0] != 0 for ind in out.population)
+
+    def test_sample_fresh_counts_only_accepted_rows(self, free_space):
+        store = EvaluationStore(free_space, ACC_LAT)
+        evaluator = FunctionEvaluator(reject_first_option)
+        new = sample_fresh_into_store(free_space, evaluator, store, search_rng(0), 18, "t")
+        assert len(new) == len(store) == 18
+        with pytest.raises(SpaceExhaustedError):
+            sample_fresh_into_store(free_space, evaluator, store, search_rng(1), 1, "t")
+
+    def test_partly_non_finite_row_raises(self, free_space):
+        evaluator = FunctionEvaluator(lambda g: (math.nan, 1.0))
+        with pytest.raises(StoreContractError):
+            run_random(free_space, evaluator, ACC_LAT, 5, seed=0)
+        with pytest.raises(StoreContractError):
+            run_nsga2(free_space, evaluator, ACC_LAT, EaConfig(population_size=4, max_evaluations=8))
+
+    def test_wrong_row_count_raises(self, free_space):
+        class ShortEvaluator:
+            def evaluate_batch(self, genotypes):
+                return np.ones((len(genotypes) - 1, 2))
+
+        with pytest.raises(StoreContractError, match="shape"):
+            run_random(free_space, ShortEvaluator(), ACC_LAT, 5, seed=0)

@@ -11,7 +11,6 @@ from conftest import make_free_space, make_masked_space
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
-    ConfigurationRejectedError,
     DegenerateScaleError,
     EvaluationStore,
     Measurement,
@@ -88,6 +87,28 @@ class TestEvaluationStore:
         back = read_measurements_jsonl(p1)
         assert back == list(store.records)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "bad.jsonl:2: Expecting property name"),
+            ('{"eval_index": 2, "genotype": "0-1-0-0", "source": "t", "iteration": 0}',
+             "bad.jsonl:2: missing key 'values'"),
+            ('{"eval_index": 2, "genotype": "0-x-0-0", "values": [1.0, 2.0], '
+             '"source": "t", "iteration": 0}',
+             "bad.jsonl:2: unparseable genotype"),
+        ],
+        ids=["malformed", "missing-key", "bad-genotype"],
+    )
+    def test_jsonl_reader_reports_path_and_line(self, tmp_path, line, message):
+        store = self.make_store()
+        store.insert((1, 2, 1, 0), (75.5, 12.25), source="alg")
+        path = tmp_path / "bad.jsonl"
+        store.to_jsonl(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_measurements_jsonl(path)
+
     def test_jsonl_line_schema(self, tmp_path):
         store = self.make_store()
         store.insert((1, 2, 1, 0), (75.5, 12.25), source="alg", iteration=3)
@@ -131,6 +152,19 @@ class TestNormalizeLatency:
             normalize_latency([])
 
 
+def values_of(evaluator, *genotypes):
+    """``evaluate_batch`` rows as tuples, one per genotype."""
+    return [tuple(row) for row in evaluator.evaluate_batch(list(genotypes))]
+
+
+def accuracy_of(land, genotype):
+    return float(land.evaluate_batch([genotype])[0, 0])
+
+
+def latency_of(land, genotype):
+    return float(land.evaluate_batch([genotype])[0, 1])
+
+
 def constant_landscape(space, **overrides):
     """All-zero coefficients: accuracy flat at the range midpoint."""
     n = space.n_variables
@@ -160,7 +194,7 @@ class TestSyntheticLandscape:
         assert np.array_equal(a.pair_weights, b.pair_weights)
         assert a.bias == b.bias
         g = (1, 2, 0)
-        assert a.evaluate(g) == b.evaluate(g)
+        assert values_of(a, g) == values_of(b, g)
 
     def test_different_seeds_differ(self):
         space = make_free_space()
@@ -172,27 +206,27 @@ class TestSyntheticLandscape:
         space = make_free_space()
         land = constant_landscape(space)
         for g in [(0, 0, 0), (3, 2, 1), (1, 0, 1)]:
-            acc, lat = land.evaluate(g)
+            (acc, lat), = values_of(land, g)
             assert acc == pytest.approx(75.0)
             assert lat == pytest.approx(5.0)
 
     def test_latency_endpoints(self):
         space = make_free_space()
         land = constant_landscape(space, cost_weights=np.array([1.0, 2.0, 0.5]))
-        assert land.latency((0, 0, 0)) == pytest.approx(5.0)
-        assert land.latency((3, 2, 1)) == pytest.approx(60.0)
+        assert latency_of(land, (0, 0, 0)) == pytest.approx(5.0)
+        assert latency_of(land, (3, 2, 1)) == pytest.approx(60.0)
 
     def test_latency_monotone_in_costly_variable(self):
         space = make_free_space()
         land = constant_landscape(space, cost_weights=np.array([1.0, 0.0, 0.0]))
-        lats = [land.latency((i, 0, 0)) for i in range(4)]
+        lats = [latency_of(land, (i, 0, 0)) for i in range(4)]
         assert lats == sorted(lats)
         assert lats[0] < lats[-1]
 
     def test_accuracy_monotone_when_single_positive_weight(self):
         space = SearchSpace("one", (DesignVariable("x", (0, 1, 2, 3, 4)),))
         land = constant_landscape(space, quality_weights=np.array([2.0]))
-        accs = [land.accuracy((i,)) for i in range(5)]
+        accs = [accuracy_of(land, (i,)) for i in range(5)]
         assert accs == sorted(accs)
         assert accs[0] < accs[-1]
 
@@ -200,7 +234,7 @@ class TestSyntheticLandscape:
         space = make_masked_space()
         land = SyntheticLandscape.from_seed(space, seed=5, rho=0.3)
         # depth index 0 masks slot 2: any raw index there evaluates identically.
-        vals = {land.evaluate((0, 2, j, 1)) for j in range(3)}
+        vals = set(values_of(land, *[(0, 2, j, 1) for j in range(3)]))
         assert len(vals) == 1
 
     def test_full_coupling_aligns_quality_and_cost(self):
@@ -218,7 +252,7 @@ class TestSyntheticLandscape:
         rng = np.random.default_rng(0)
         gs = [space.sample_uniform(rng) for _ in range(10_000)]
         q = np.array([land.quality_score(g) for g in gs])
-        lat = np.array([land.latency(g) for g in gs])
+        lat = land.evaluate_batch(gs)[:, 1]
         r = np.corrcoef(q, lat)[0, 1]
         assert r > 0.5
 
@@ -226,11 +260,11 @@ class TestSyntheticLandscape:
         space = make_free_space()
         land = SyntheticLandscape.from_seed(space, seed=2, rho=0.0, noise_sd=0.5)
         g = (2, 1, 0)
-        assert land.accuracy(g) == land.accuracy(g)
+        assert accuracy_of(land, g) == accuracy_of(land, g)
         clean = SyntheticLandscape.from_seed(space, seed=2, rho=0.0, noise_sd=0.0)
-        assert land.accuracy(g) != clean.accuracy(g)
+        assert accuracy_of(land, g) != accuracy_of(clean, g)
         # Latency stays deterministic and noise-free.
-        assert land.latency(g) == clean.latency(g)
+        assert latency_of(land, g) == latency_of(clean, g)
 
     def test_noise_scale_roughly_sigma(self):
         space = make_free_space()
@@ -238,19 +272,21 @@ class TestSyntheticLandscape:
         noisy = SyntheticLandscape.from_seed(space, seed=9, rho=0.0, noise_sd=sigma)
         clean = SyntheticLandscape.from_seed(space, seed=9, rho=0.0, noise_sd=0.0)
         rng = np.random.default_rng(1)
-        gs = {space.sample_uniform(rng) for _ in range(500)}
-        deltas = np.array([noisy.accuracy(g) - clean.accuracy(g) for g in gs])
+        gs = list({space.sample_uniform(rng) for _ in range(500)})
+        deltas = noisy.evaluate_batch(gs)[:, 0] - clean.evaluate_batch(gs)[:, 0]
         assert abs(float(np.mean(deltas))) < 0.1
         assert 0.8 * sigma < float(np.std(deltas)) < 1.2 * sigma
 
-    def test_batch_matches_scalar_path(self):
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.2])
+    @pytest.mark.parametrize("size", [2, 7, 50, 2000])
+    def test_values_do_not_depend_on_the_batch(self, size, noise_sd):
         space = make_masked_space()
-        land = SyntheticLandscape.from_seed(space, seed=4, rho=0.7, noise_sd=0.2)
+        land = SyntheticLandscape.from_seed(space, seed=4, rho=0.7, noise_sd=noise_sd)
         rng = np.random.default_rng(8)
-        gs = [space.sample_uniform(rng) for _ in range(64)]
-        batch = land.evaluate_batch(gs)
-        single = np.array([land.evaluate(g) for g in gs])
-        assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
+        G = np.array([space.sample_uniform(rng) for _ in range(size)])
+        batch = land.evaluate_batch(G)
+        for i in range(size):
+            assert np.array_equal(batch[i], land.evaluate_batch(G[i : i + 1])[0])
 
     def test_pair_count_rule(self):
         space = make_free_space()  # 3 variables -> ceil(3/2) = 2 pairs
@@ -282,8 +318,7 @@ class TestTabularEvaluator:
         space = make_masked_space()
         # Raw keys canonicalize: (0, 1, 2, 0) and (0, 1, 0, 0) are the same config.
         ev = TabularEvaluator(space, {(0, 1, 2, 0): (1.0, 2.0)}, 2)
-        assert ev.evaluate((0, 1, 0, 0)) == (1.0, 2.0)
-        assert ev.evaluate((0, 1, 1, 0)) == (1.0, 2.0)
+        assert values_of(ev, (0, 1, 0, 0), (0, 1, 1, 0)) == [(1.0, 2.0), (1.0, 2.0)]
 
     def test_conflicting_duplicate_rows_raise(self):
         space = make_masked_space()
@@ -296,15 +331,16 @@ class TestTabularEvaluator:
         space = make_free_space()
         ev = TabularEvaluator(space, self.make_table(space), 2, missing_policy="error")
         with pytest.raises(UnknownConfigurationError):
-            ev.evaluate((0, 2, 1))
+            ev.evaluate_batch([(0, 0, 0), (0, 2, 1)])
 
     def test_reject_policy_signals_skip(self):
         space = make_free_space()
         ev = TabularEvaluator(
             space, self.make_table(space), 2, missing_policy="nearest-reject"
         )
-        with pytest.raises(ConfigurationRejectedError):
-            ev.evaluate((0, 2, 1))
+        out = ev.evaluate_batch([(0, 0, 0), (0, 2, 1), (1, 0, 0)])
+        assert np.array_equal(out[[0, 2]], [[70.0, 5.0], [71.0, 5.0]])
+        assert np.isnan(out[1]).all()
 
     def test_csv_roundtrip(self, tmp_path):
         space = make_free_space()
@@ -329,6 +365,18 @@ class TestTabularEvaluator:
         path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-0-0,1.0,2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             TabularEvaluator.from_csv(path, space)
+
+    @pytest.mark.parametrize("second", ["2.0", "9.0"])
+    def test_canonical_twins_rejected_in_either_order(self, tmp_path, second):
+        space = make_masked_space()
+        # depth index 0 masks slot 2: 0-1-2-0 and 0-1-0-0 are one config.
+        for first_row, second_row in (("0-1-2-0", "0-1-0-0"), ("0-1-0-0", "0-1-2-0")):
+            path = tmp_path / "twins.csv"
+            path.write_text(
+                f"genotype,obj_1,obj_2\n{first_row},1.0,2.0\n{second_row},1.0,{second}\n"
+            )
+            with pytest.raises(ValueError, match="twins.csv:3: duplicate canonical genotype"):
+                TabularEvaluator.from_csv(path, space)
 
     def test_bad_policy_rejected(self):
         space = make_free_space()

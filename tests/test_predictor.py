@@ -20,7 +20,6 @@ from linas_moo.predictor import (
     SvrRbfModel,
     UndefinedMetricError,
     analyze_predictors,
-    featurize,
     featurize_batch,
     kendall_tau,
     make_predictor,
@@ -68,21 +67,21 @@ class TestFeaturize:
     def test_unit_interval_coordinates(self):
         space = make_masked_space()
         # s1 has 3 options: index 2 -> 1.0; free has 2: index 1 -> 1.0.
-        feats = featurize(space, (1, 2, 1, 1))
-        assert np.allclose(feats, [1.0, 1.0, 0.5, 1.0])
+        feats = featurize_batch(space, [(1, 2, 1, 1)])
+        assert np.allclose(feats, [[1.0, 1.0, 0.5, 1.0]])
 
     def test_masked_position_contributes_zero(self):
         space = make_masked_space()
         # depth index 0 masks slot 2 regardless of its raw index.
-        for j in range(3):
-            assert featurize(space, (0, 1, j, 0))[2] == 0.0
+        feats = featurize_batch(space, [(0, 1, j, 0) for j in range(3)])
+        assert np.all(feats[:, 2] == 0.0)
 
     def test_batch_matches_scalar(self):
         space = make_masked_space()
         rng = np.random.default_rng(0)
         gs = [space.sample_uniform(rng) for _ in range(20)]
         batch = featurize_batch(space, gs)
-        assert np.array_equal(batch, np.array([featurize(space, g) for g in gs]))
+        assert np.array_equal(batch, np.array([space.unit_coordinates(g) for g in gs]))
 
 
 class TestRidge:
