@@ -353,18 +353,14 @@ def _latency_index(objectives: Sequence[ObjectiveSpec]) -> int | None:
 def _write_store_jsonl(path: Path, store: EvaluationStore) -> None:
     """Measurement JSONL; a latency objective also gets its run-normalized value."""
     lat = _latency_index(store.objectives)
-    normalized = None
+    extra = None
     if lat is not None and len(store) > 0:
         try:
             normalized = normalize_latency(store.values_matrix()[:, lat])
+            extra = {"latency_normalized": normalized.tolist()}
         except DegenerateScaleError:
-            normalized = None
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, m in enumerate(store):
-            obj = m.to_json_obj()
-            if normalized is not None:
-                obj["latency_normalized"] = float(normalized[i])
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            pass
+    store.to_jsonl(path, extra)
 
 
 def _normalized_trace(

@@ -266,12 +266,9 @@ def _measure_new(
         raise StoreContractError(
             f"evaluator returned shape {values.shape} for {len(genotypes)} genotypes"
         )
-    rejected = np.isnan(values).all(axis=1)
-    return [
-        store.insert(g, v, source=source, iteration=iteration)[0]
-        for g, v, skip in zip(genotypes, values, rejected)
-        if not skip
-    ]
+    keep = ~np.isnan(values).all(axis=1)
+    kept = [g for g, k in zip(genotypes, keep) if k]
+    return store.insert_batch(kept, values[keep], source=source, iteration=iteration)
 
 
 def sample_fresh_into_store(
@@ -453,7 +450,7 @@ def run_nsga2(
 
         # Measure: store hits are free, new configs spend budget in child
         # order, overflow and rejected children are dropped.
-        child_tuples = [tuple(int(v) for v in row) for row in children]
+        child_tuples = list(map(tuple, children.tolist()))
         fresh = [g for g in dict.fromkeys(child_tuples) if g not in store][:budget_left]
         measured = _measure_new(store, evaluator, fresh, config.source, generations)
         budget_left -= len(measured)
@@ -470,8 +467,7 @@ def run_nsga2(
             )
 
     individuals = tuple(
-        Individual.from_measurement(store.get(tuple(int(v) for v in row)), objectives)
-        for row in G
+        Individual.from_measurement(store.get(g), objectives) for g in map(tuple, G.tolist())
     )
     front_idx = fast_nondominated_sort(F)[0]
     return SearchOutcome(

@@ -130,10 +130,6 @@ class EvaluationStore:
     def __iter__(self) -> Iterator[Measurement]:
         return iter(self._records)
 
-    @property
-    def records(self) -> tuple[Measurement, ...]:
-        return tuple(self._records)
-
     def __contains__(self, genotype: Genotype) -> bool:
         return tuple(genotype) in self._position
 
@@ -141,43 +137,38 @@ class EvaluationStore:
         pos = self._position.get(tuple(genotype))
         return None if pos is None else self._records[pos]
 
-    def insert(
-        self, genotype: Genotype, values: Sequence[float], *, source: str, iteration: int = 0
-    ) -> tuple[Measurement, bool]:
-        """Record one measurement.
+    def insert_batch(
+        self, genotypes, values, *, source: str, iteration: int = 0
+    ) -> list[Measurement]:
+        """Store ``(B, n)`` genotypes with ``(B, m)`` values; the store's only write path.
 
-        Returns:
-            ``(measurement, True)`` if inserted, or ``(existing, False)`` if
-            the canonical genotype was already present.
+        The whole batch is checked before anything is stored, so a bad row
+        stores nothing. Genotypes already stored, and repeats within the
+        batch, are skipped; the new measurements are returned in order.
 
         Raises:
-            StoreContractError: non-canonical genotype, wrong objective
+            MalformedGenotypeError: an index outside its variable's options.
+            StoreContractError: a non-canonical genotype, wrong objective
                 arity, or non-finite values.
         """
-        g = tuple(int(i) for i in genotype)
-        self.space.validate(g)
-        if not self.space.is_canonical(g):
-            raise StoreContractError(f"genotype {format_genotype(g)} is not canonical")
-        pos = self._position.get(g)
-        if pos is not None:
-            return self._records[pos], False
-        vals = tuple(float(v) for v in values)
-        if len(vals) != len(self.objectives):
+        G = self.space.validate_batch(genotypes)
+        off = np.flatnonzero((self.space.canonicalize_batch(G) != G).any(axis=1))
+        if off.size:
+            raise StoreContractError(f"genotype {format_genotype(G[off[0]])} is not canonical")
+        V = np.asarray(values, dtype=np.float64)
+        if V.shape != (len(G), len(self.objectives)):
             raise StoreContractError(
-                f"expected {len(self.objectives)} objective values, got {len(vals)}"
+                f"expected values of shape {(len(G), len(self.objectives))}, got {V.shape}"
             )
-        if not all(math.isfinite(v) for v in vals):
-            raise StoreContractError(f"non-finite objective values: {vals}")
-        m = Measurement(
-            eval_index=len(self._records) + 1,
-            genotype=g,
-            values=vals,
-            source=source,
-            iteration=iteration,
-        )
-        self._position[g] = len(self._records)
-        self._records.append(m)
-        return m, True
+        off = np.flatnonzero(~np.isfinite(V).all(axis=1))
+        if off.size:
+            raise StoreContractError(f"non-finite objective values: {tuple(V[off[0]].tolist())}")
+        start = len(self._records)
+        for g, vals in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
+            if g not in self._position:
+                self._position[g] = n = len(self._records)
+                self._records.append(Measurement(n + 1, g, vals, source, iteration))
+        return self._records[start:]
 
     def values_matrix(self) -> np.ndarray:
         """Raw values as an ``(N, m)`` array in insertion order."""
@@ -185,14 +176,16 @@ class EvaluationStore:
             return np.empty((0, len(self.objectives)))
         return np.array([m.values for m in self._records], dtype=np.float64)
 
-    def genotype_matrix(self) -> np.ndarray:
-        return np.array([m.genotype for m in self._records], dtype=np.int64)
+    def to_jsonl(self, path: str | Path, extra: Mapping[str, Sequence] | None = None) -> None:
+        """One sorted-keys JSON object per line, insertion order; byte-deterministic.
 
-    def to_jsonl(self, path: str | Path) -> None:
-        """One sorted-keys JSON object per line, insertion order; byte-deterministic."""
+        ``extra`` maps a key to one value per record, added to that record's line.
+        """
+        extra = extra or {}
         with open(path, "w", encoding="utf-8") as fh:
-            for m in self._records:
-                fh.write(json.dumps(m.to_json_obj(), sort_keys=True) + "\n")
+            for i, m in enumerate(self._records):
+                obj = m.to_json_obj() | {key: column[i] for key, column in extra.items()}
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
     def to_csv(self, path: str | Path) -> None:
         """CSV mirror of the JSONL export with one column per objective."""
@@ -455,7 +448,7 @@ class TabularEvaluator:
         self.n_objectives = n_objectives
         self._table: dict[Genotype, tuple[float, ...]] = {}
         for raw_g, raw_v in table.items():
-            g = space.canonicalize(tuple(int(i) for i in raw_g))
+            g = space.canonicalize(raw_g)
             vals = tuple(float(v) for v in raw_v)
             if len(vals) != n_objectives:
                 raise ValueError(
@@ -503,9 +496,9 @@ class TabularEvaluator:
 
     def evaluate_batch(self, genotypes) -> np.ndarray:
         """Table rows as a ``(B, m)`` array; a rejected miss is an all-NaN row."""
-        out = np.full((len(genotypes), self.n_objectives), np.nan)
-        for i, raw in enumerate(genotypes):
-            g = self.space.canonicalize(tuple(int(v) for v in raw))
+        G = self.space.canonicalize_batch(self.space.validate_batch(genotypes))
+        out = np.full((len(G), self.n_objectives), np.nan)
+        for i, g in enumerate(map(tuple, G.tolist())):
             hit = self._table.get(g)
             if hit is not None:
                 out[i] = hit

@@ -179,38 +179,51 @@ class SearchSpace:
             tables.append((rule.controller, tab))
         return tuple(tables)
 
+    def validate_batch(self, genotypes) -> np.ndarray:
+        """Check a ``(B, n)`` batch of genotypes once; return it as int64.
+
+        Raises:
+            MalformedGenotypeError: on a row of the wrong length, then an entry
+                that is not an int, then an index outside its variable's
+                options, naming the first bad row (if ``B > 1``), position and variable.
+        """
+        B, n, counts = len(genotypes), self.n_variables, self.option_counts
+        try:
+            G = np.asarray(genotypes)
+        except ValueError:  # ragged rows
+            G = None
+        if G is None or G.shape != (B, n) or not np.issubdtype(G.dtype, np.integer):
+            # Unusual input: check row by row, without numpy's coercions.
+            for r, row in enumerate(genotypes):
+                if len(row) != n:
+                    what = f"genotype length {len(row)} != {n} variables"
+                    raise self._malformed(r, min(len(row), n), B, what)
+                for i, idx in enumerate(row):
+                    if not isinstance(idx, (int, np.integer)):
+                        raise self._malformed(r, i, B, f"index {idx!r} is not an int")
+            G = np.array([tuple(row) for row in genotypes], dtype=object).reshape(B, n)
+        bad = (G < 0) | (G >= counts)
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+            raise self._malformed(r, i, B, f"index {G[r, i]} outside 0..{counts[i] - 1}")
+        return G.astype(np.int64, copy=False)
+
+    def _malformed(self, row: int, position: int, batch: int, what: str) -> MalformedGenotypeError:
+        name = self.variables[position].name if position < self.n_variables else "past the end"
+        where = f"row {row}, position {position}" if batch > 1 else f"position {position}"
+        return MalformedGenotypeError(f"{where} ({name}): {what}")
+
     def validate(self, genotype: Genotype) -> None:
-        """Raise :class:`MalformedGenotypeError` unless ``genotype`` fits this space."""
-        if len(genotype) != self.n_variables:
-            raise MalformedGenotypeError(
-                f"genotype length {len(genotype)} != {self.n_variables} variables"
-            )
-        for i, (idx, var) in enumerate(zip(genotype, self.variables)):
-            if not isinstance(idx, (int, np.integer)):
-                raise MalformedGenotypeError(f"position {i}: index {idx!r} is not an int")
-            if not 0 <= idx < len(var.options):
-                raise MalformedGenotypeError(
-                    f"position {i} ({var.name}): index {idx} outside 0..{len(var.options) - 1}"
-                )
+        """One-row view of :meth:`validate_batch`."""
+        self.validate_batch([genotype])
 
     def active_mask(self, genotype: Genotype) -> tuple[bool, ...]:
-        """Per-variable activity under ``genotype``'s controller choices."""
-        self.validate(genotype)
-        mask = [True] * self.n_variables
-        for rule in self.rules:
-            active = set(rule.activation[genotype[rule.controller]])
-            for d in rule.dependents:
-                if d not in active:
-                    mask[d] = False
-        return tuple(mask)
+        """One-row view of :meth:`active_mask_batch`, validated."""
+        return tuple(self.active_mask_batch(self.validate_batch([genotype]))[0].tolist())
 
     def canonicalize(self, genotype: Genotype) -> Genotype:
-        """Return the canonical representative: inactive positions set to 0.
-
-        Controllers are never dependents, so one masking pass is exact.
-        """
-        mask = self.active_mask(genotype)
-        return tuple(int(idx) if on else 0 for idx, on in zip(genotype, mask))
+        """One-row view of :meth:`canonicalize_batch`, validated."""
+        return tuple(self.canonicalize_batch(self.validate_batch([genotype]))[0].tolist())
 
     def is_canonical(self, genotype: Genotype) -> bool:
         return self.canonicalize(genotype) == tuple(genotype)
@@ -225,7 +238,7 @@ class SearchSpace:
         return self.canonicalize(raw)
 
     def active_mask_batch(self, genotypes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`active_mask` over a ``(B, n)`` int array.
+        """Per-variable activity of a ``(B, n)`` int array under its controller choices.
 
         Index validity is the caller's responsibility on this hot path.
         """
@@ -236,7 +249,10 @@ class SearchSpace:
         return mask
 
     def canonicalize_batch(self, genotypes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`canonicalize`: inactive entries forced to 0."""
+        """Canonical representatives of a ``(B, n)`` int array: inactive entries set to 0.
+
+        Controllers are never dependents, so one masking pass is exact.
+        """
         G = np.asarray(genotypes, dtype=np.int64)
         return np.where(self.active_mask_batch(G), G, 0)
 
@@ -246,8 +262,7 @@ class SearchSpace:
         Position i becomes ``index / (k_i - 1)``; single-option and inactive
         positions become 0.0. The genotype is canonicalized first.
         """
-        self.validate(genotype)
-        return self.unit_coordinates_batch([genotype])[0]
+        return self.unit_coordinates_batch(self.validate_batch([genotype]))[0]
 
     def unit_coordinates_batch(self, genotypes) -> np.ndarray:
         """Vectorised :meth:`unit_coordinates` over a ``(B, n)`` array."""
@@ -257,11 +272,10 @@ class SearchSpace:
 
     def decode(self, genotype: Genotype) -> dict[str, int]:
         """Map a genotype to ``{variable name: option value}`` for active variables only."""
-        g = self.canonicalize(genotype)
-        mask = self.active_mask(g)
+        mask = self.active_mask(genotype)
         return {
             var.name: var.options[idx]
-            for var, idx, on in zip(self.variables, g, mask)
+            for var, idx, on in zip(self.variables, genotype, mask)
             if on
         }
 

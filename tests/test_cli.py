@@ -167,8 +167,8 @@ class TestSearchCommand:
             records = read_measurements_jsonl(out_dir / f"random_seed{seed}.jsonl")
             store = EvaluationStore(builtin_space("ncf"), ACC_LAT)
             for m in records:
-                store.insert(
-                    m.genotype, m.values, source=m.source, iteration=m.iteration
+                store.insert_batch(
+                    [m.genotype], [m.values], source=m.source, iteration=m.iteration
                 )
             trace = hv_trace(store, reference=hi, stride=10)
             per_seed[seed] = [v / area for v in trace.hypervolumes]

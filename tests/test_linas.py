@@ -1,5 +1,7 @@
 """Predictor-guided search: budget laws, promotion, and equivalences."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,28 @@ class TestRunLinas:
         )
         out = run_linas(space, land, ACC_LAT, cfg)
         assert len(out.store) == 24
+
+
+# SHA-256 prefix of the paper setup's store JSONL (mobilenetv3, landscape
+# seed 0, rho 0.8; ridge, 50 x 5, 20k inner queries, seed 0). Ridge fits see
+# the last bits of the landscape values, so the hash is recorded for one
+# numpy version only.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_PREFIX = "2585a1b06f84096e"
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"golden store hash is recorded for numpy {GOLDEN_NUMPY}, not {np.__version__}",
+)
+def test_paper_setup_store_matches_golden_hash(tmp_path):
+    space = builtin_space("mobilenetv3")
+    land = SyntheticLandscape.from_seed(space, seed=0, rho=0.8)
+    config = LinasConfig(
+        population_size=50, iterations=5, inner_evaluations=20_000,
+        predictor_kinds=("ridge",), seed=0,
+    )
+    outcome = run_linas(space, land, land.objectives(), config)
+    path = tmp_path / "store.jsonl"
+    outcome.store.to_jsonl(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(GOLDEN_PREFIX)

@@ -180,7 +180,7 @@ class TestHvTrace:
         rng = np.random.default_rng(seed)
         while len(store) < n:
             g = space.sample_uniform(rng)
-            store.insert(g, land.evaluate_batch([g])[0], source="random")
+            store.insert_batch([g], land.evaluate_batch([g]), source="random")
         return store
 
     def test_counts_are_stride_multiples_plus_final(self):

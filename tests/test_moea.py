@@ -561,7 +561,7 @@ class TestNsga2:
         space, land = self.landscape()
         store = EvaluationStore(space, ACC_LAT)
         g = space.sample_uniform(search_rng(0))
-        m, _ = store.insert(g, land.evaluate_batch([g])[0], source="random")
+        (m,) = store.insert_batch([g], land.evaluate_batch([g]), source="random")
         ind = Individual.from_measurement(m, ACC_LAT)
         assert ind.objectives == (-m.values[0], m.values[1])
 

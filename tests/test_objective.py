@@ -23,7 +23,7 @@ from linas_moo.objective import (
     oriented_values,
     read_measurements_jsonl,
 )
-from linas_moo.space import DesignVariable, SearchSpace
+from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace
 
 
 def two_objectives():
@@ -49,43 +49,73 @@ class TestEvaluationStore:
         space = store.space
         rng = np.random.default_rng(3)
         while len(store) < 15:
-            store.insert(space.sample_uniform(rng), (1.0, 2.0), source="t")
-        assert [m.eval_index for m in store] == list(range(1, 16))
+            # Batches with repeats and stored genotypes keep indices gapless.
+            batch = [space.sample_uniform(rng) for _ in range(4)]
+            store.insert_batch(batch, [(1.0, 2.0)] * 4, source="t")
+        assert [m.eval_index for m in store] == list(range(1, len(store) + 1))
 
     def test_duplicate_reported_not_stored(self):
         store = self.make_store()
-        first, inserted = store.insert((0, 1, 0, 0), (1.0, 2.0), source="t")
-        assert inserted
-        again, inserted2 = store.insert((0, 1, 0, 0), (9.0, 9.0), source="t")
-        assert not inserted2
-        assert again is first
+        (first,) = store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t")
+        assert store.insert_batch([(0, 1, 0, 0)], [(9.0, 9.0)], source="t") == []
+        assert store.get((0, 1, 0, 0)) is first
         assert len(store) == 1
+
+    def test_stored_and_repeated_genotypes_skipped(self):
+        store = self.make_store()
+        store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t")
+        new = store.insert_batch(
+            [(0, 1, 0, 0), (1, 2, 1, 0), (0, 2, 0, 1), (1, 2, 1, 0)],
+            [(9.0, 9.0), (3.0, 4.0), (5.0, 6.0), (7.0, 8.0)],
+            source="t",
+            iteration=2,
+        )
+        assert [(m.eval_index, m.genotype, m.values) for m in new] == [
+            (2, (1, 2, 1, 0), (3.0, 4.0)),
+            (3, (0, 2, 0, 1), (5.0, 6.0)),
+        ]
+        assert list(store)[1:] == new
+        assert store.get((0, 1, 0, 0)).values == (1.0, 2.0)
 
     def test_non_canonical_insert_rejected(self):
         store = self.make_store()
         # depth index 0 leaves slot 2 inactive, so index 1 there is not canonical.
-        with pytest.raises(StoreContractError):
-            store.insert((0, 1, 1, 0), (1.0, 2.0), source="t")
+        with pytest.raises(StoreContractError, match="0-1-1-0 is not canonical"):
+            store.insert_batch([(0, 1, 0, 0), (0, 1, 1, 0)], [(1.0, 2.0)] * 2, source="t")
+        assert len(store) == 0
 
     def test_arity_and_finiteness_enforced(self):
         store = self.make_store()
         with pytest.raises(StoreContractError):
-            store.insert((0, 1, 0, 0), (1.0,), source="t")
+            store.insert_batch([(0, 1, 0, 0)], [(1.0,)], source="t")
         with pytest.raises(StoreContractError):
-            store.insert((0, 1, 0, 0), (float("nan"), 2.0), source="t")
+            store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)] * 2, source="t")
+        with pytest.raises(StoreContractError, match="non-finite"):
+            store.insert_batch(
+                [(0, 1, 0, 0), (1, 2, 1, 0)], [(1.0, 2.0), (float("nan"), 2.0)], source="t"
+            )
+        assert len(store) == 0
+
+    def test_bad_index_raises_malformed_and_stores_nothing(self):
+        store = self.make_store()
+        with pytest.raises(MalformedGenotypeError, match=r"row 1, position 1 \(s1\)"):
+            store.insert_batch([(0, 1, 0, 0), (0, 3, 0, 0)], [(1.0, 2.0)] * 2, source="t")
+        assert len(store) == 0
 
     def test_jsonl_roundtrip_and_determinism(self, tmp_path):
         store = self.make_store()
         rng = np.random.default_rng(7)
         while len(store) < 10:
             g = store.space.sample_uniform(rng)
-            store.insert(g, (float(rng.normal()), float(rng.normal())), source="t", iteration=2)
+            store.insert_batch(
+                [g], [(float(rng.normal()), float(rng.normal()))], source="t", iteration=2
+            )
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         store.to_jsonl(p1)
         store.to_jsonl(p2)
         assert p1.read_bytes() == p2.read_bytes()
         back = read_measurements_jsonl(p1)
-        assert back == list(store.records)
+        assert back == list(store)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -101,7 +131,7 @@ class TestEvaluationStore:
     )
     def test_jsonl_reader_reports_path_and_line(self, tmp_path, line, message):
         store = self.make_store()
-        store.insert((1, 2, 1, 0), (75.5, 12.25), source="alg")
+        store.insert_batch([(1, 2, 1, 0)], [(75.5, 12.25)], source="alg")
         path = tmp_path / "bad.jsonl"
         store.to_jsonl(path)
         with open(path, "a", encoding="utf-8") as fh:
@@ -111,7 +141,7 @@ class TestEvaluationStore:
 
     def test_jsonl_line_schema(self, tmp_path):
         store = self.make_store()
-        store.insert((1, 2, 1, 0), (75.5, 12.25), source="alg", iteration=3)
+        store.insert_batch([(1, 2, 1, 0)], [(75.5, 12.25)], source="alg", iteration=3)
         path = tmp_path / "m.jsonl"
         store.to_jsonl(path)
         obj = json.loads(path.read_text().splitlines()[0])
@@ -125,7 +155,7 @@ class TestEvaluationStore:
 
     def test_csv_mirror(self, tmp_path):
         store = self.make_store()
-        store.insert((1, 2, 1, 0), (75.5, 12.25), source="alg", iteration=3)
+        store.insert_batch([(1, 2, 1, 0)], [(75.5, 12.25)], source="alg", iteration=3)
         path = tmp_path / "m.csv"
         store.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -341,6 +371,15 @@ class TestTabularEvaluator:
         out = ev.evaluate_batch([(0, 0, 0), (0, 2, 1), (1, 0, 0)])
         assert np.array_equal(out[[0, 2]], [[70.0, 5.0], [71.0, 5.0]])
         assert np.isnan(out[1]).all()
+
+    def test_malformed_row_raises(self):
+        space = make_free_space()
+        ev = TabularEvaluator(space, self.make_table(space), 2, missing_policy="nearest-reject")
+        with pytest.raises(MalformedGenotypeError, match=r"row 1, position 1 \(b\)"):
+            ev.evaluate_batch([(0, 0, 0), (0, 3, 0)])
+        # A non-integer key is rejected, not truncated to (0, 1, 0).
+        with pytest.raises(MalformedGenotypeError, match="index 0.5 is not an int"):
+            TabularEvaluator(space, {(0.5, 1, 0): (1.0, 2.0)}, 2)
 
     def test_csv_roundtrip(self, tmp_path):
         space = make_free_space()

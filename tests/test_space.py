@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ class TestGenotypeChecks:
     def test_non_integer_rejected(self, free_space):
         with pytest.raises(MalformedGenotypeError):
             free_space.validate((0.5, 0, 0))
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            ([(0, 0)], "position 2 (c): genotype length 2 != 3 variables"),
+            ([(0, 0, 0), (0, 0)], "row 1, position 2 (c): genotype length 2 != 3 variables"),
+            ([(0, 0.5, 0)], "position 1 (b): index 0.5 is not an int"),
+            ([(0, 0, 0), (3, 2, 1), (0, 3, 0)], "row 2, position 1 (b): index 3 outside 0..2"),
+        ],
+        ids=["wrong-length", "ragged", "half", "out-of-range-row-2"],
+    )
+    def test_validate_batch_names_first_bad_position(self, free_space, batch, message):
+        with pytest.raises(MalformedGenotypeError, match=re.escape(message)):
+            free_space.validate_batch(batch)
+
+    def test_validate_batch_returns_int64_rows(self, free_space):
+        G = free_space.validate_batch([(0, 0, 0), (3, 2, 1)])
+        assert G.dtype == np.int64 and G.tolist() == [[0, 0, 0], [3, 2, 1]]
+        assert free_space.validate_batch([]).shape == (0, 3)
 
     def test_format_parse_roundtrip(self):
         assert format_genotype((0, 2, 1)) == "0-2-1"
