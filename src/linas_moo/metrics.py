@@ -6,6 +6,7 @@ Hypervolume is computed in minimization convention; use
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,10 +21,28 @@ def store_objective_matrix(store: EvaluationStore) -> np.ndarray:
 
 
 def _domination_matrix(F: np.ndarray) -> np.ndarray:
-    """``D[i, j]`` is True when row i strictly dominates row j (minimization)."""
+    """``D[i, j]``: row i strictly dominates row j. O(N^2) memory: m != 2 only."""
     le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
     lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
     return le & lt
+
+
+def _ranks_2d(F: np.ndarray) -> np.ndarray:
+    """Front rank of every row of an (N, 2) minimization matrix, O(N log N).
+
+    In (f1, f2) order, front r's latest member dominates a row iff its
+    (f2, f1) key is smaller; the keys ascend with r, so bisection finds the
+    row's front (Jensen, TEC 2003). A NaN row is rank 0 and dominates nothing.
+    """
+    ranks = np.zeros(len(F), dtype=np.int64)
+    rows = np.nonzero(~np.isnan(F).any(axis=1))[0]
+    rows = rows[np.lexsort((F[rows, 1], F[rows, 0]))]
+    lasts: list[tuple[float, float]] = []
+    for i, key in zip(rows.tolist(), zip(F[rows, 1].tolist(), F[rows, 0].tolist())):
+        r = bisect.bisect_left(lasts, key)
+        lasts[r : r + 1] = [key]
+        ranks[i] = r
+    return ranks
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
@@ -36,6 +55,8 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         raise ValueError("need an (N, m) matrix")
     if F.shape[0] == 0:
         return np.zeros(0, dtype=bool)
+    if F.shape[1] == 2:
+        return _ranks_2d(F) == 0
     return ~np.any(_domination_matrix(F), axis=0)
 
 
@@ -98,7 +119,7 @@ def hv_trace(
     """Hypervolume after every ``stride`` measurements, plus the final count.
 
     The reference defaults to :func:`default_reference` over the whole
-    store, so the trace is non-decreasing.
+    store, so the trace is non-decreasing. Fronts carry from prefix to prefix.
     """
     if stride < 1:
         raise ValueError("stride must be positive")
@@ -107,8 +128,13 @@ def hv_trace(
     F = store_objective_matrix(store)
     ref = default_reference(F) if reference is None else np.asarray(reference, dtype=np.float64)
     counts = list(range(stride, len(F), stride)) + [len(F)]
-    hvs = tuple(hypervolume_2d(F[:k], ref) for k in counts)
-    return HypervolumeTrace(tuple(counts), hvs, tuple(float(r) for r in ref))
+    keep = np.all(F < ref, axis=1)
+    hvs, front = [], F[:0]
+    for start, k in zip([0] + counts, counts):
+        pool = np.concatenate([front, F[start:k][keep[start:k]]])
+        front = pool[nondominated_mask(pool)]
+        hvs.append(hypervolume_2d(front, ref))
+    return HypervolumeTrace(tuple(counts), tuple(hvs), tuple(float(r) for r in ref))
 
 
 def union_bounds(point_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

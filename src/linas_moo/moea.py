@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import _domination_matrix
+from .metrics import _domination_matrix, _ranks_2d
 from .objective import (
     EvaluationStore,
     Measurement,
@@ -121,10 +121,13 @@ def dominates(a, b) -> bool:
 
 
 def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Partition rows into Pareto fronts (lists of index arrays, best first)."""
+    """Partition rows into Pareto fronts (index arrays, ascending, best first)."""
     F = np.asarray(objectives, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] == 0:
         raise ValueError("need a non-empty (N, m) objective matrix")
+    if F.shape[1] == 2:
+        ranks = _ranks_2d(F)
+        return np.split(np.argsort(ranks, kind="stable"), np.cumsum(np.bincount(ranks))[:-1])
     dom = _domination_matrix(F)
     counts = dom.sum(axis=0).astype(np.int64)
     active = np.ones(F.shape[0], dtype=bool)

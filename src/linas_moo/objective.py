@@ -446,9 +446,9 @@ class TabularEvaluator:
         self.space = space
         self.missing_policy = missing_policy
         self.n_objectives = n_objectives
+        keys = space.canonicalize_batch(space.validate_batch(list(table)))
         self._table: dict[Genotype, tuple[float, ...]] = {}
-        for raw_g, raw_v in table.items():
-            g = space.canonicalize(raw_g)
+        for g, raw_v in zip(map(tuple, keys.tolist()), table.values()):
             vals = tuple(float(v) for v in raw_v)
             if len(vals) != n_objectives:
                 raise ValueError(
@@ -476,22 +476,33 @@ class TabularEvaluator:
             if not header or header[0] != "genotype" or len(header) < 2:
                 raise ValueError(f"{path}: header must be genotype,obj_1,...,obj_m")
             m = len(header) - 1
-            table: dict[Genotype, tuple[float, ...]] = {}
+            where, raw, values = [], [], []
             for ln, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != m + 1:
                     raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
                 try:
-                    g = space.canonicalize(parse_genotype(row[0]))
-                    vals = tuple(float(v) for v in row[1:])
+                    raw.append(parse_genotype(row[0]))
+                    values.append(tuple(float(v) for v in row[1:]))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from exc
-                if g in table:
-                    raise ValueError(
-                        f"{path}:{ln}: duplicate canonical genotype {row[0]}"
-                    )
-                table[g] = vals
+                where.append((ln, row[0]))
+        try:
+            G = space.validate_batch(raw)
+        except ValueError:
+            for (ln, _), g in zip(where, raw):  # name the first bad line
+                try:
+                    space.validate(g)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {exc}") from exc
+            raise
+        table: dict[Genotype, tuple[float, ...]] = {}
+        keys = map(tuple, space.canonicalize_batch(G).tolist())
+        for (ln, text), g, vals in zip(where, keys, values):
+            if g in table:
+                raise ValueError(f"{path}:{ln}: duplicate canonical genotype {text}")
+            table[g] = vals
         return cls(space, table, m, missing_policy)
 
     def evaluate_batch(self, genotypes) -> np.ndarray:

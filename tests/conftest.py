@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from linas_moo.space import DependencyRule, DesignVariable, SearchSpace
@@ -43,6 +44,23 @@ def enumerate_canonicals(space: SearchSpace) -> set[tuple[int, ...]]:
     """Exhaustive oracle: canonical forms of every raw index vector."""
     axes = [range(len(v.options)) for v in space.variables]
     return {space.canonicalize(raw) for raw in itertools.product(*axes)}
+
+
+def hard_objective_matrices(seed: int, count: int, ms=(2,), max_n: int = 300):
+    """Random minimization matrices with heavy ties, duplicate rows and +-inf.
+
+    Rows are drawn with replacement from a pool of few-level rows, so equal
+    coordinates and exact duplicates are common.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, max_n + 1))
+        m = int(rng.choice(ms))
+        levels = int(rng.integers(2, 40))
+        pool = rng.integers(0, levels, size=(int(rng.integers(1, n + 1)), m)).astype(float)
+        pool[rng.random(pool.shape) < 0.05] = np.inf
+        pool[rng.random(pool.shape) < 0.05] = -np.inf
+        yield pool[rng.integers(0, len(pool), size=n)]
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Hypervolume and front-extraction tests against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import hard_objective_matrices
 from linas_moo.metrics import (
     HypervolumeTrace,
     default_reference,
@@ -135,20 +137,36 @@ class TestParetoFront:
         # (70, 20) is dominated by (90, 10); (85, 10) too; the rest trade off.
         assert idx.tolist() == [0, 1]
 
+    @staticmethod
+    def loop_oracle(F):
+        rows = F.tolist()
+        return [
+            not any(
+                all(a <= b for a, b in zip(rows[j], row))
+                and any(a < b for a, b in zip(rows[j], row))
+                for j in range(len(rows))
+                if j != i
+            )
+            for i, row in enumerate(rows)
+        ]
+
     def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            F = rng.integers(0, 5, size=(n, 2)).astype(float)
-            mask = nondominated_mask(F)
-            for i in range(n):
-                dominated = any(
-                    all(F[j, k] <= F[i, k] for k in range(2))
-                    and any(F[j, k] < F[i, k] for k in range(2))
-                    for j in range(n)
-                    if j != i
-                )
-                assert mask[i] == (not dominated)
+        for F in hard_objective_matrices(seed=13, count=60, ms=(1, 2, 2, 3)):
+            assert nondominated_mask(F).tolist() == self.loop_oracle(F)
+
+    def test_nan_rows_are_kept_and_dominate_nothing(self):
+        nan = math.nan
+        F = np.array([[1.0, 1.0], [nan, 0.0], [2.0, 2.0], [nan, nan], [3.0, nan]])
+        assert nondominated_mask(F).tolist() == [True, True, False, True, True]
+        rng = np.random.default_rng(17)
+        for F in hard_objective_matrices(seed=17, count=30, max_n=100):
+            F[rng.random(len(F)) < 0.2, int(rng.integers(0, 2))] = nan
+            assert nondominated_mask(F).tolist() == self.loop_oracle(F)
+
+    def test_lone_infinite_row_is_kept(self):
+        assert nondominated_mask(np.array([[math.inf, math.inf]])).tolist() == [True]
+        F = np.array([[math.inf, math.inf], [math.inf, math.inf], [-math.inf, math.inf]])
+        assert nondominated_mask(F).tolist() == [False, False, True]
 
     def test_empty_matrix(self):
         assert nondominated_mask(np.empty((0, 2))).size == 0
@@ -205,6 +223,30 @@ class TestHvTrace:
             hypervolume_2d(F, np.array(trace.reference))
         )
 
+    def make_repeating_store(self, n=90, seed=4):
+        """Distinct genotypes whose objective rows repeat often."""
+        space = builtin_space("mobilenetv3")
+        store = EvaluationStore(space, ACC_LAT)
+        rng = np.random.default_rng(seed)
+        while len(store) < n:
+            g = space.sample_uniform(rng)
+            values = [[70.0 + rng.integers(0, 4), 5.0 + rng.integers(0, 4)]]
+            store.insert_batch([g], np.array(values), source="random")
+        return store
+
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    @pytest.mark.parametrize("repeating", [False, True])
+    def test_every_value_equals_the_prefix_hypervolume(self, stride, repeating):
+        store = self.make_repeating_store() if repeating else self.make_store(120)
+        F = store_objective_matrix(store)
+        ref = np.median(F, axis=0) + 0.5
+        clipped = ~np.all(F < ref, axis=1)
+        assert 0 < clipped.sum() < len(F)
+        for reference in (None, ref):
+            trace = hv_trace(store, reference=reference, stride=stride)
+            for k, hv in zip(trace.counts, trace.hypervolumes):
+                assert hv == hypervolume_2d(F[:k], np.array(trace.reference))
+
     def test_explicit_reference_is_respected(self):
         store = self.make_store(20)
         ref = (0.0, 100.0)
@@ -225,6 +267,38 @@ class TestHvTrace:
         assert isinstance(trace, HypervolumeTrace)
         with pytest.raises(AttributeError):
             trace.counts = ()
+
+
+class TestBoundedMemory:
+    """Fronts and traces of 10^5-row inputs stay far below N x N memory."""
+
+    LIMIT = 64 * 2**20
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_nondominated_mask_on_1e5_rows(self):
+        F = np.random.default_rng(0).random((100_000, 2))
+        assert self.peak_bytes(nondominated_mask, F) < self.LIMIT
+
+    def test_hv_trace_on_1e5_row_store(self):
+        space = builtin_space("mobilenetv3")
+        rng = np.random.default_rng(0)
+        raw = rng.integers(0, space.option_counts, size=(110_000, space.n_variables))
+        G = space.canonicalize_batch(raw)
+        _, first = np.unique(G, axis=0, return_index=True)
+        G = G[np.sort(first)[:100_000]]
+        land = SyntheticLandscape.from_seed(space, seed=0)
+        store = EvaluationStore(space, ACC_LAT)
+        store.insert_batch(G, land.evaluate_batch(G), source="random")
+        assert len(store) == 100_000
+        assert self.peak_bytes(hv_trace, store) < self.LIMIT
 
 
 class TestNormalizedHypervolume:

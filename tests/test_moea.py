@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import hard_objective_matrices
 from linas_moo.moea import (
     EaConfig,
     Individual,
@@ -114,13 +115,21 @@ class TestFastNondominatedSort:
         assert set(fronts[0].tolist()) == {0, 1, 2, 3, 4}
 
     def test_matches_oracle_on_random_instances(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            n = int(rng.integers(1, 40))
-            m = int(rng.integers(1, 4))
-            F = rng.integers(0, 5, size=(n, m)).astype(float)
-            got = [set(f.tolist()) for f in fast_nondominated_sort(F)]
-            assert got == fronts_oracle(F)
+        # Fronts list their members in ascending index order:
+        # environmental selection cuts crowding ties by that order.
+        for F in hard_objective_matrices(seed=23, count=100, ms=(1, 2, 2, 3)):
+            got = [f.tolist() for f in fast_nondominated_sort(F)]
+            assert got == [sorted(f) for f in fronts_oracle(F.tolist())]
+
+    def test_nan_rows_stay_in_front_zero_and_dominate_nothing(self):
+        nan = math.nan
+        F = np.array([[1.0, 1.0], [nan, 0.0], [2.0, 2.0], [nan, nan], [0.0, 3.0], [3.0, nan]])
+        assert [f.tolist() for f in fast_nondominated_sort(F)] == [[0, 1, 3, 4, 5], [2]]
+        rng = np.random.default_rng(29)
+        for F in hard_objective_matrices(seed=29, count=30, max_n=100):
+            F[rng.random(len(F)) < 0.2, int(rng.integers(0, 2))] = nan
+            got = [f.tolist() for f in fast_nondominated_sort(F)]
+            assert got == [sorted(f) for f in fronts_oracle(F.tolist())]
 
     def test_fronts_partition_indices(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_free_space, make_masked_space
+from conftest import enumerate_canonicals, make_free_space, make_masked_space
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -396,6 +396,39 @@ class TestTabularEvaluator:
         path = tmp_path / "bad.csv"
         path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,oops\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
+            TabularEvaluator.from_csv(path, space)
+
+    @pytest.mark.parametrize("n_rows", [3, 24])
+    def test_csv_load_checks_genotypes_in_two_batch_calls(self, tmp_path, monkeypatch, n_rows):
+        space = make_masked_space()
+        rows = sorted(enumerate_canonicals(space))[:n_rows]
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "genotype,obj_1,obj_2\n"
+            + "".join(f"{'-'.join(map(str, g))},{i}.0,1.0\n" for i, g in enumerate(rows))
+        )
+        calls = []
+        check = SearchSpace.validate_batch
+
+        def counting(self, genotypes):
+            calls.append(len(genotypes))
+            return check(self, genotypes)
+
+        monkeypatch.setattr(SearchSpace, "validate_batch", counting)
+        ev = TabularEvaluator.from_csv(path, space)
+        assert len(ev) == n_rows
+        assert calls == [n_rows, n_rows]
+
+    def test_malformed_csv_index_reports_line(self, tmp_path):
+        space = make_free_space()
+        path = tmp_path / "bad.csv"
+        path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-3-0,1.0,2.0\n1-0\n")
+        with pytest.raises(ValueError, match="bad.csv:4: expected 3 cells"):
+            TabularEvaluator.from_csv(path, space)
+        path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-3-0,1.0,2.0\n1-0,1.0,2.0\n")
+        with pytest.raises(
+            ValueError, match=r"bad.csv:3: position 1 \(b\): index 3 outside 0..2"
+        ):
             TabularEvaluator.from_csv(path, space)
 
     def test_duplicate_csv_row_raises(self, tmp_path):
