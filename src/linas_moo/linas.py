@@ -10,6 +10,7 @@ measurements therefore total ``population_size * iterations``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -18,20 +19,19 @@ from .metrics import pareto_front
 from .moea import (
     EaConfig,
     Individual,
-    SearchOutcome,
     SpaceExhaustedError,
+    _evaluate,
     _measure_new,
+    nsga2_core,
     rank_and_crowd,
-    run_nsga2,
     sample_fresh_into_store,
     search_rng,
 )
-from .objective import EvaluationStore, ObjectiveSpec
+from .objective import EvaluationStore, ObjectiveSpec, _check_rows, oriented_values
 from .predictor import PREDICTOR_KINDS, featurize_batch, make_predictor
 from .space import Genotype, SearchSpace
 
 LINAS_SOURCE = "linas"
-INNER_SOURCE = "predicted"
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +49,13 @@ class PredictorEvaluator:
     def evaluate_batch(self, genotypes) -> np.ndarray:
         X = featurize_batch(self.space, genotypes)
         return np.column_stack([m.predict(X) for m in self.models])
+
+    def measure(self, genotypes, generation: int = 0) -> dict[Genotype, tuple[float, ...]]:
+        """:func:`nsga2_core`'s callback: the store's checks once per batch, no store."""
+        G = np.array(genotypes, dtype=np.int64)
+        values, keep = _evaluate(self, G)
+        _, values = _check_rows(self.space, G[keep], values[keep], len(self.models))
+        return dict(zip(compress(genotypes, keep), map(tuple, values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -107,35 +114,37 @@ class LinasOutcome:
 
     ``front`` holds the non-dominated measured configurations;
     ``iteration_models`` the fitted predictors per outer iteration;
-    ``inner_outcome`` the last inner search (predicted values only).
+    ``inner_outcome`` the last inner population: genotypes, predicted raw values.
     """
 
     store: EvaluationStore
     front: tuple[Individual, ...]
     iteration_models: tuple[tuple, ...]
-    inner_outcome: SearchOutcome
+    inner_outcome: tuple[np.ndarray, np.ndarray]
 
 
 def select_best_unique(
-    population: Sequence[Individual],
+    genotypes: np.ndarray,
+    objectives: np.ndarray,
     count: int,
     seen,
 ) -> list[Genotype]:
     """The best ``count`` distinct genotypes not already in ``seen``.
 
+    ``genotypes`` and ``objectives`` (minimized) are a population's rows.
     Candidates are ordered by front rank, then descending crowding distance,
     then position. Returns fewer than ``count`` when the population cannot
     supply enough unseen genotypes.
     """
-    if not population:
+    if len(genotypes) == 0:
         return []
-    F = np.array([ind.objectives for ind in population])
-    ranks, crowd = rank_and_crowd(F)
-    order = np.lexsort((np.arange(len(F)), -crowd, ranks))
+    ranks, crowd = rank_and_crowd(objectives)
+    order = np.lexsort((np.arange(len(ranks)), -crowd, ranks))
+    rows = list(map(tuple, np.asarray(genotypes).tolist()))
     chosen: list[Genotype] = []
     picked: set[Genotype] = set()
     for i in order:
-        g = population[i].genotype
+        g = rows[i]
         if g in seen or g in picked:
             continue
         picked.add(g)
@@ -171,8 +180,8 @@ def run_linas(
     plain random search with this seed would use); every later iteration
     measures the candidates promoted by the previous inner search, topping
     up with uniform samples when promotion falls short or a candidate is
-    rejected. Inner searches run on a throwaway store, so the real store
-    grows by exactly ``population_size`` per iteration.
+    rejected. Inner searches run :func:`nsga2_core` on the predictors with no
+    store, so the real store grows by exactly ``population_size`` per iteration.
 
     Raises:
         SpaceExhaustedError: if the space cannot supply the total budget of
@@ -190,7 +199,6 @@ def run_linas(
     rng = search_rng(config.seed)
 
     iteration_models: list[tuple] = []
-    inner_outcome: SearchOutcome | None = None
     promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
         fresh = len(_measure_new(store, evaluator, promoted, LINAS_SOURCE, it))
@@ -215,12 +223,9 @@ def run_linas(
             mutation_prob=config.mutation_prob,
             seed=int(rng.integers(0, 2**63)),
             max_generations=config.inner_evaluations // config.population_size,
-            source=INNER_SOURCE,
         )
-        inner_outcome = run_nsga2(space, surrogate, objectives, inner_cfg)
-        promoted = select_best_unique(
-            inner_outcome.population, config.population_size, store
-        )
+        inner_G, inner_F, _ = nsga2_core(space, surrogate.measure, objectives, inner_cfg, {})
+        promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
 
     F = store.values_matrix()
     front_idx = pareto_front(F, objectives)
@@ -232,5 +237,5 @@ def run_linas(
         store=store,
         front=front,
         iteration_models=tuple(iteration_models),
-        inner_outcome=inner_outcome,
+        inner_outcome=(inner_G, oriented_values(inner_F, objectives)),
     )

@@ -2,8 +2,11 @@
 
 Both searches measure through an :class:`EvaluationStore`, so a duplicate
 offspring reuses the stored measurement without consuming budget and the
-budget counts distinct configurations. Objectives are handled internally in
-minimization convention; evaluators stay in natural directions.
+budget counts distinct configurations. :func:`nsga2_core` is the NSGA-II
+loop itself, on arrays and a dedup dict: :func:`run_nsga2` wraps it around
+a store, and the predictor-only inner search of LINAS calls it directly.
+Objectives are handled internally in minimization convention; evaluators
+stay in natural directions.
 
 An evaluator has one method, ``evaluate_batch(genotypes)``, returning a
 ``(B, m)`` float array of raw values. An all-NaN row marks a configuration
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -120,68 +124,68 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _ranks(F: np.ndarray) -> np.ndarray:
+    """Front rank of every row (0 is non-dominated); peels fronts when m != 2."""
+    if F.shape[1] == 2:
+        return _ranks_2d(F)
+    dom = _domination_matrix(F)
+    counts = dom.sum(axis=0).astype(np.int64)
+    ranks = np.full(len(F), -1, dtype=np.int64)
+    r = 0
+    while (ranks < 0).any():
+        members = np.flatnonzero((ranks < 0) & (counts == 0))
+        ranks[members] = r
+        counts -= dom[members].sum(axis=0)
+        r += 1
+    return ranks
+
+
 def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     """Partition rows into Pareto fronts (index arrays, ascending, best first)."""
     F = np.asarray(objectives, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] == 0:
         raise ValueError("need a non-empty (N, m) objective matrix")
-    if F.shape[1] == 2:
-        ranks = _ranks_2d(F)
-        return np.split(np.argsort(ranks, kind="stable"), np.cumsum(np.bincount(ranks))[:-1])
-    dom = _domination_matrix(F)
-    counts = dom.sum(axis=0).astype(np.int64)
-    active = np.ones(F.shape[0], dtype=bool)
-    fronts: list[np.ndarray] = []
-    while active.any():
-        members = np.nonzero(active & (counts == 0))[0]
-        fronts.append(members)
-        active[members] = False
-        counts -= dom[members].sum(axis=0)
-    return fronts
+    ranks = _ranks(F)
+    return np.split(np.argsort(ranks, kind="stable"), np.cumsum(np.bincount(ranks))[:-1])
 
 
-def ranks_of(objectives: np.ndarray) -> np.ndarray:
-    """Per-row front rank (0 is non-dominated)."""
-    ranks = np.empty(len(objectives), dtype=np.int64)
-    for r, members in enumerate(fast_nondominated_sort(objectives)):
-        ranks[members] = r
-    return ranks
-
-
-def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
-    """Crowding distance within one front.
+def _crowding(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Crowding of every row within its front; one (rank, column) sort per column.
 
     Boundary members per objective get infinity; interior members sum
     neighbour gaps scaled by the objective's range. A zero-range objective
-    contributes nothing.
+    (``hi == lo``, also a constant inf column) contributes nothing.
     """
+    crowd = np.zeros(len(F))
+    for col in F.T:
+        order = np.lexsort((col, ranks))
+        r, c = ranks[order], col[order]
+        first = np.concatenate([[True], r[1:] != r[:-1]])
+        last = np.concatenate([first[1:], [True]])
+        front = np.cumsum(first) - 1
+        lo, hi = c[first][front], c[last][front]
+        live = hi != lo
+        crowd[order[live & (first | last)]] = math.inf
+        inner = np.flatnonzero(live & ~first & ~last)
+        crowd[order[inner]] += (c[inner + 1] - c[inner - 1]) / (hi[inner] - lo[inner])
+    return crowd
+
+
+def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
+    """Crowding distance within one front (see :func:`_crowding`)."""
     F = np.asarray(front_objectives, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] == 0:
         raise ValueError("need a non-empty (k, m) objective matrix")
-    k = F.shape[0]
-    dist = np.zeros(k)
-    for col in F.T:
-        lo, hi = float(col.min()), float(col.max())
-        if hi == lo:
-            continue
-        order = np.argsort(col, kind="stable")
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        if k > 2:
-            gaps = (col[order[2:]] - col[order[:-2]]) / (hi - lo)
-            dist[order[1:-1]] += gaps
-    return dist
+    return _crowding(F, np.zeros(len(F), dtype=np.int64))
 
 
 def rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Front ranks plus within-front crowding for a whole population."""
     F = np.asarray(objectives, dtype=np.float64)
-    ranks = np.empty(len(F), dtype=np.int64)
-    crowd = np.empty(len(F), dtype=np.float64)
-    for r, members in enumerate(fast_nondominated_sort(F)):
-        ranks[members] = r
-        crowd[members] = crowding_distance(F[members])
-    return ranks, crowd
+    if F.ndim != 2 or F.shape[0] == 0:
+        raise ValueError("need a non-empty (N, m) objective matrix")
+    ranks = _ranks(F)
+    return ranks, _crowding(F, ranks)
 
 
 def tournament_winners(
@@ -249,6 +253,16 @@ def mutate(
     return np.where(hits, replacement, G)
 
 
+def _evaluate(evaluator, genotypes) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's ``(B, m)`` values and the mask of accepted (not all-NaN) rows."""
+    values = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
+    if values.ndim != 2 or len(values) != len(genotypes):
+        raise StoreContractError(
+            f"evaluator returned shape {values.shape} for {len(genotypes)} genotypes"
+        )
+    return values, ~np.isnan(values).all(axis=1)
+
+
 def _measure_new(
     store: EvaluationStore,
     evaluator,
@@ -259,18 +273,13 @@ def _measure_new(
     """Measure distinct unseen canonical genotypes in one batch.
 
     Stores every accepted row and returns the new measurements in order.
-    All-NaN rows (rejected configurations) are skipped; any other
-    non-finite row makes the store raise :class:`StoreContractError`.
+    Rejected rows are skipped; any other non-finite row makes the store
+    raise :class:`StoreContractError`.
     """
     if not genotypes:
         return []
-    values = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
-    if values.ndim != 2 or len(values) != len(genotypes):
-        raise StoreContractError(
-            f"evaluator returned shape {values.shape} for {len(genotypes)} genotypes"
-        )
-    keep = ~np.isnan(values).all(axis=1)
-    kept = [g for g, k in zip(genotypes, keep) if k]
+    values, keep = _evaluate(evaluator, genotypes)
+    kept = list(compress(genotypes, keep))
     return store.insert_batch(kept, values[keep], source=source, iteration=iteration)
 
 
@@ -344,15 +353,7 @@ def run_random(
     measured = sample_fresh_into_store(
         space, evaluator, store, rng, budget, source=source, iteration=0
     )
-    individuals = tuple(Individual.from_measurement(m, objectives) for m in measured)
-    F = np.array([ind.objectives for ind in individuals])
-    front_idx = fast_nondominated_sort(F)[0]
-    return SearchOutcome(
-        store=store,
-        population=individuals,
-        front=tuple(individuals[i] for i in front_idx),
-        generations=0,
-    )
+    return _outcome(store, measured, objectives, 0)
 
 
 def environmental_selection(
@@ -360,73 +361,66 @@ def environmental_selection(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """NSGA-II environmental selection from a combined pool.
 
-    Fills by front; the boundary front is cut by descending crowding.
+    Fills by front, members in index order; the boundary front is cut by
+    descending crowding, ties in index order. A front that exactly fills
+    the population is kept whole in index order.
     Returns (genotypes, objectives, ranks, crowding) for the survivors.
     """
-    chosen: list[np.ndarray] = []
-    ranks = np.empty(pop_size, dtype=np.int64)
-    crowd = np.empty(pop_size, dtype=np.float64)
-    filled = 0
-    for r, members in enumerate(fast_nondominated_sort(F)):
-        dist = crowding_distance(F[members])
-        if filled + len(members) <= pop_size:
-            take = members
-            take_dist = dist
-        else:
-            # Stable sort on negated distance keeps index order among ties.
-            order = np.argsort(-dist, kind="stable")[: pop_size - filled]
-            take = members[order]
-            take_dist = dist[order]
-        chosen.append(take)
-        ranks[filled : filled + len(take)] = r
-        crowd[filled : filled + len(take)] = take_dist
-        filled += len(take)
-        if filled == pop_size:
-            break
-    idx = np.concatenate(chosen)
-    return G[idx], F[idx], ranks, crowd
+    ranks, crowd = rank_and_crowd(F)
+    idx = np.argsort(ranks, kind="stable")
+    if pop_size < len(idx) and ranks[idx[pop_size]] == ranks[idx[pop_size - 1]]:
+        cut = ranks[idx[pop_size - 1]]
+        head = idx[ranks[idx] < cut]
+        members = np.flatnonzero(ranks == cut)
+        # Stable sort on negated distance keeps index order among ties.
+        tail = members[np.argsort(-crowd[members], kind="stable")[: pop_size - len(head)]]
+        idx = np.concatenate([head, tail])
+    idx = idx[:pop_size]
+    return G[idx], F[idx], ranks[idx], crowd[idx]
 
 
-def run_nsga2(
+def nsga2_core(
     space: SearchSpace,
-    evaluator,
+    measure,
     objectives: Sequence[ObjectiveSpec],
     config: EaConfig,
-    store: EvaluationStore | None = None,
-) -> SearchOutcome:
-    """Elitist NSGA-II until the store-growth budget (or generation cap) is hit.
+    known: dict[Genotype, tuple[float, ...]],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Elitist NSGA-II on arrays until the budget (or generation cap) is hit.
 
-    Offspring are built by binary tournaments, two-point crossover, and
-    per-position mutation, then canonicalized. Offspring already in the
-    store join the pool with cached values at no budget cost; once the
-    budget is exhausted the remaining new offspring of that generation are
-    dropped.
+    ``measure(genotypes, generation)`` takes distinct unseen canonical
+    genotypes and returns ``{genotype: raw values}`` for those it accepted;
+    they join ``known``, the dedup dict of everything measured. Known
+    offspring cost no budget; new ones past the budget are dropped.
+    Returns the final genotypes, minimized objectives and generation count.
     """
-    if store is None:
-        store = EvaluationStore(space, objectives)
     rng = search_rng(config.seed)
     pop = config.population_size
     counts = space.option_counts
     budget_left = config.max_evaluations
 
+    def measured(fresh: list[Genotype], generation: int) -> int:
+        new = measure(fresh, generation) if fresh else {}
+        known.update(new)
+        return len(new)
+
     # Initial population: uniform draws; duplicates allowed and resolved
-    # through the store. Rejected configs are resampled. A population never
+    # through ``known``. Rejected configs are resampled. A population never
     # outgrows max_evaluations, so the budget cannot run out here.
-    rows: list[Measurement] = []
+    rows: list[Genotype] = []
     attempts = 0
     while len(rows) < pop:
         draws = [space.sample_uniform(rng) for _ in range(pop - len(rows))]
-        fresh = [g for g in dict.fromkeys(draws) if g not in store]
-        budget_left -= len(_measure_new(store, evaluator, fresh, config.source, 0))
-        kept = [store.get(g) for g in draws if g in store]
+        budget_left -= measured([g for g in dict.fromkeys(draws) if g not in known], 0)
+        kept = [g for g in draws if g in known]
         rows.extend(kept)
         attempts += len(draws) - len(kept)
         if attempts >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(
                 f"could not assemble an initial population after {attempts} attempts"
             )
-    G = np.array([m.genotype for m in rows], dtype=np.int64)
-    F = oriented_values(np.array([m.values for m in rows]), objectives)
+    G = np.array(rows, dtype=np.int64)
+    F = oriented_values([known[g] for g in rows], objectives)
     ranks, crowd = rank_and_crowd(F)
 
     generations = 0
@@ -451,31 +445,44 @@ def run_nsga2(
         children = mutate(rng, children[:pop], counts, config.mutation_prob)
         children = space.canonicalize_batch(children)
 
-        # Measure: store hits are free, new configs spend budget in child
-        # order, overflow and rejected children are dropped.
+        # Measure: known children are free, new configs spend budget in
+        # child order, overflow and rejected children are dropped.
         child_tuples = list(map(tuple, children.tolist()))
-        fresh = [g for g in dict.fromkeys(child_tuples) if g not in store][:budget_left]
-        measured = _measure_new(store, evaluator, fresh, config.source, generations)
-        budget_left -= len(measured)
-        stall = 0 if measured else stall + 1
+        fresh = [g for g in dict.fromkeys(child_tuples) if g not in known][:budget_left]
+        new = measured(fresh, generations)
+        budget_left -= new
+        stall = 0 if new else stall + 1
 
-        kept = [g for g in child_tuples if g in store]
-        if kept:
-            off_G = np.array(kept, dtype=np.int64)
-            off_F = oriented_values(
-                np.array([store.get(g).values for g in kept]), objectives
-            )
+        keep = [g in known for g in child_tuples]
+        if any(keep):
+            off_F = oriented_values([known[g] for g in compress(child_tuples, keep)], objectives)
             G, F, ranks, crowd = environmental_selection(
-                np.concatenate([G, off_G]), np.concatenate([F, off_F]), pop
+                np.concatenate([G, children[keep]]), np.concatenate([F, off_F]), pop
             )
+    return G, F, generations
 
-    individuals = tuple(
-        Individual.from_measurement(store.get(g), objectives) for g in map(tuple, G.tolist())
-    )
-    front_idx = fast_nondominated_sort(F)[0]
-    return SearchOutcome(
-        store=store,
-        population=individuals,
-        front=tuple(individuals[i] for i in front_idx),
-        generations=generations,
-    )
+
+def _outcome(store: EvaluationStore, rows, objectives, generations: int) -> SearchOutcome:
+    population = tuple(Individual.from_measurement(m, objectives) for m in rows)
+    front = fast_nondominated_sort(np.array([ind.objectives for ind in population]))[0]
+    return SearchOutcome(store, population, tuple(population[i] for i in front), generations)
+
+
+def run_nsga2(
+    space: SearchSpace,
+    evaluator,
+    objectives: Sequence[ObjectiveSpec],
+    config: EaConfig,
+    store: EvaluationStore | None = None,
+) -> SearchOutcome:
+    """:func:`nsga2_core` over ``evaluator`` and a store; new rows are tagged ``config.source``."""
+    if store is None:
+        store = EvaluationStore(space, objectives)
+
+    def measure(genotypes, generation):
+        new = _measure_new(store, evaluator, genotypes, config.source, generation)
+        return {m.genotype: m.values for m in new}
+
+    known = {m.genotype: m.values for m in store}
+    G, _, generations = nsga2_core(space, measure, objectives, config, known)
+    return _outcome(store, [store.get(g) for g in map(tuple, G.tolist())], objectives, generations)

@@ -71,6 +71,21 @@ def oriented_values(values, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:
     return arr * signs
 
 
+def _check_rows(space: SearchSpace, genotypes, values, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a batch as :meth:`EvaluationStore.insert_batch` does; return it as arrays."""
+    G = space.validate_batch(genotypes)
+    off = np.flatnonzero((space.canonicalize_batch(G) != G).any(axis=1))
+    if off.size:
+        raise StoreContractError(f"genotype {format_genotype(G[off[0]])} is not canonical")
+    V = np.asarray(values, dtype=np.float64)
+    if V.shape != (len(G), m):
+        raise StoreContractError(f"expected values of shape {(len(G), m)}, got {V.shape}")
+    off = np.flatnonzero(~np.isfinite(V).all(axis=1))
+    if off.size:
+        raise StoreContractError(f"non-finite objective values: {tuple(V[off[0]].tolist())}")
+    return G, V
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One stored evaluation.
@@ -151,18 +166,7 @@ class EvaluationStore:
             StoreContractError: a non-canonical genotype, wrong objective
                 arity, or non-finite values.
         """
-        G = self.space.validate_batch(genotypes)
-        off = np.flatnonzero((self.space.canonicalize_batch(G) != G).any(axis=1))
-        if off.size:
-            raise StoreContractError(f"genotype {format_genotype(G[off[0]])} is not canonical")
-        V = np.asarray(values, dtype=np.float64)
-        if V.shape != (len(G), len(self.objectives)):
-            raise StoreContractError(
-                f"expected values of shape {(len(G), len(self.objectives))}, got {V.shape}"
-            )
-        off = np.flatnonzero(~np.isfinite(V).all(axis=1))
-        if off.size:
-            raise StoreContractError(f"non-finite objective values: {tuple(V[off[0]].tolist())}")
+        G, V = _check_rows(self.space, genotypes, values, len(self.objectives))
         start = len(self._records)
         for g, vals in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
             if g not in self._position:
@@ -186,22 +190,6 @@ class EvaluationStore:
             for i, m in enumerate(self._records):
                 obj = m.to_json_obj() | {key: column[i] for key, column in extra.items()}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-    def to_csv(self, path: str | Path) -> None:
-        """CSV mirror of the JSONL export with one column per objective."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eval_index", "genotype"]
-                + [o.name for o in self.objectives]
-                + ["source", "iteration"]
-            )
-            for m in self._records:
-                writer.writerow(
-                    [m.eval_index, format_genotype(m.genotype)]
-                    + [repr(v) for v in m.values]
-                    + [m.source, m.iteration]
-                )
 
 
 def read_measurements_jsonl(path: str | Path) -> list[Measurement]:

@@ -12,17 +12,18 @@ from linas_moo.linas import (
     run_linas,
     select_best_unique,
 )
-from linas_moo.moea import Individual, SpaceExhaustedError, run_random
+from linas_moo.moea import EaConfig, SpaceExhaustedError, nsga2_core, run_nsga2, run_random
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
     EvaluationStore,
     ObjectiveSpec,
+    StoreContractError,
     SyntheticLandscape,
     TabularEvaluator,
 )
 from linas_moo.predictor import RidgeModel, featurize_batch
-from linas_moo.space import builtin_space
+from linas_moo.space import MalformedGenotypeError, builtin_space
 
 ACC_LAT = (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZE))
 
@@ -106,15 +107,89 @@ class TestPredictorEvaluator:
         assert np.allclose(single[0], batch[0], rtol=1e-12, atol=0.0)
 
 
+class FixedModel:
+    """A stand-in predictor that serves the first rows of a fixed column."""
+
+    def __init__(self, column):
+        self.column = np.asarray(column, dtype=np.float64)
+
+    def predict(self, X):
+        return self.column[: len(X)]
+
+
+def fitted_surrogate(space, land, n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    genotypes = [space.sample_uniform(rng) for _ in range(n)]
+    X = featurize_batch(space, genotypes)
+    Y = land.evaluate_batch(genotypes)
+    return PredictorEvaluator(space, tuple(RidgeModel().fit(X, Y[:, j]) for j in range(2)))
+
+
+class TestInnerMeasure:
+    """``PredictorEvaluator.measure`` makes the store's batch checks without a store."""
+
+    def test_returns_predictions_keyed_by_genotype(self):
+        space, land = small_problem()
+        surrogate = fitted_surrogate(space, land)
+        rng = np.random.default_rng(1)
+        probe = list(dict.fromkeys(space.sample_uniform(rng) for _ in range(12)))
+        got = surrogate.measure(probe, 3)
+        assert list(got) == probe
+        assert np.array_equal(np.array(list(got.values())), surrogate.evaluate_batch(probe))
+
+    def test_all_nan_row_is_skipped(self, free_space):
+        surrogate = PredictorEvaluator(
+            free_space, (FixedModel([1.0, np.nan, 3.0]), FixedModel([2.0, np.nan, 4.0]))
+        )
+        got = surrogate.measure([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+        assert got == {(0, 0, 0): (1.0, 2.0), (2, 0, 0): (3.0, 4.0)}
+
+    def test_partly_non_finite_row_raises(self, free_space):
+        for bad in (np.nan, np.inf):
+            surrogate = PredictorEvaluator(free_space, (FixedModel([1.0, bad]), FixedModel([2.0, 3.0])))
+            with pytest.raises(StoreContractError, match="non-finite"):
+                surrogate.measure([(0, 0, 0), (1, 0, 0)])
+
+    def test_range_canonical_form_and_shape_are_checked(self, free_space, masked_space):
+        ones = (FixedModel(np.ones(4)), FixedModel(np.ones(4)))
+        with pytest.raises(MalformedGenotypeError, match="outside"):
+            PredictorEvaluator(free_space, ones).measure([(0, 0, 0), (0, 0, 2)])
+        with pytest.raises(StoreContractError, match="not canonical"):
+            PredictorEvaluator(masked_space, ones).measure([(0, 1, 2, 0)])
+
+        class ShortModel:
+            def predict(self, X):
+                return np.ones(len(X) - 1)
+
+        with pytest.raises(StoreContractError, match="shape"):
+            PredictorEvaluator(free_space, (ShortModel(), ShortModel())).measure(
+                [(0, 0, 0), (1, 0, 0)]
+            )
+
+    def test_store_wrapper_and_bare_core_agree(self):
+        # The inner search runs the bare core on ``measure``; run_nsga2 over
+        # the same surrogate and a store takes the same path step by step.
+        space = builtin_space("mobilenetv3")
+        surrogate = fitted_surrogate(space, SyntheticLandscape.from_seed(space, seed=0))
+        cfg = EaConfig(population_size=20, max_evaluations=2_000, seed=3, max_generations=60)
+        out = run_nsga2(space, surrogate, ACC_LAT, cfg)
+        known = {}
+        G, F, generations = nsga2_core(space, surrogate.measure, ACC_LAT, cfg, known)
+        assert generations == out.generations == 60
+        assert G.tolist() == [list(ind.genotype) for ind in out.population]
+        assert F.tobytes() == np.array([ind.objectives for ind in out.population]).tobytes()
+        assert list(known.items()) == [(m.genotype, m.values) for m in out.store]
+
+
 class TestSelectBestUnique:
-    def individuals(self, rows):
-        return [
-            Individual(genotype=g, values=obj, objectives=obj)
-            for g, obj in rows
-        ]
+    def population(self, rows):
+        return (
+            np.array([g for g, _ in rows], dtype=np.int64).reshape(len(rows), 2),
+            np.array([obj for _, obj in rows], dtype=np.float64).reshape(len(rows), 2),
+        )
 
     def test_orders_by_rank_then_crowding(self):
-        pop = self.individuals(
+        pop = self.population(
             [
                 ((0, 0), (5.0, 5.0)),   # rank 1
                 ((1, 0), (0.0, 4.0)),   # rank 0 boundary
@@ -122,11 +197,11 @@ class TestSelectBestUnique:
                 ((3, 0), (4.0, 0.0)),   # rank 0 boundary
             ]
         )
-        assert select_best_unique(pop, 3, seen=set()) == [(1, 0), (3, 0), (2, 0)]
-        assert select_best_unique(pop, 4, seen=set())[-1] == (0, 0)
+        assert select_best_unique(*pop, 3, seen=set()) == [(1, 0), (3, 0), (2, 0)]
+        assert select_best_unique(*pop, 4, seen=set())[-1] == (0, 0)
 
     def test_skips_seen_and_duplicate_genotypes(self):
-        pop = self.individuals(
+        pop = self.population(
             [
                 ((0, 0), (0.0, 4.0)),
                 ((0, 0), (0.0, 4.0)),
@@ -134,15 +209,15 @@ class TestSelectBestUnique:
                 ((2, 0), (4.0, 0.0)),
             ]
         )
-        chosen = select_best_unique(pop, 4, seen={(1, 0)})
+        chosen = select_best_unique(*pop, 4, seen={(1, 0)})
         assert chosen.count((0, 0)) == 1
         assert (1, 0) not in chosen
         assert len(chosen) == 2
 
     def test_returns_short_list_when_pool_is_small(self):
-        pop = self.individuals([((0, 0), (1.0, 1.0))])
-        assert select_best_unique(pop, 5, seen=set()) == [(0, 0)]
-        assert select_best_unique([], 5, seen=set()) == []
+        pop = self.population([((0, 0), (1.0, 1.0))])
+        assert select_best_unique(*pop, 5, seen=set()) == [(0, 0)]
+        assert select_best_unique(*self.population([]), 5, seen=set()) == []
 
 
 class TestRunLinas:
@@ -199,17 +274,16 @@ class TestRunLinas:
             for model in models:
                 assert model.predict(probe).shape == (5,)
 
-    def test_inner_search_runs_on_throwaway_store(self):
+    def test_inner_search_runs_without_a_store(self):
         space, land = small_problem()
         out = run_linas(space, land, ACC_LAT, quick_config())
-        inner = out.inner_outcome
-        assert inner.store is not out.store
+        G, V = out.inner_outcome
         assert len(out.store) == 30
+        assert all(m.source == "linas" for m in out.store)
+        assert G.shape == (10, space.n_variables)
+        assert np.array_equal(space.canonicalize_batch(G), G)
         surrogate = PredictorEvaluator(space, out.iteration_models[-1])
-        for ind in inner.population[:3]:
-            assert np.allclose(
-                ind.values, surrogate.evaluate_batch([ind.genotype])[0], rtol=1e-9
-            )
+        assert np.allclose(V, surrogate.evaluate_batch(G), rtol=1e-9)
 
     def test_front_is_nondominated_subset_of_store(self):
         space, land = small_problem()
@@ -263,26 +337,39 @@ class TestRunLinas:
         assert len(out.store) == 24
 
 
-# SHA-256 prefix of the paper setup's store JSONL (mobilenetv3, landscape
-# seed 0, rho 0.8; ridge, 50 x 5, 20k inner queries, seed 0). Ridge fits see
-# the last bits of the landscape values, so the hash is recorded for one
-# numpy version only.
+# SHA-256 prefixes of the paper setup's store JSONL (mobilenetv3, landscape
+# seed 0, rho 0.8; 50 x 5, 20k inner queries): ridge with seed 0, and the
+# benchmark's stacked accuracy + ridge latency predictors with seed 1.
+# Predictor fits see the last bits of the landscape values, so the hashes
+# are recorded for one numpy version only.
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_PREFIX = "2585a1b06f84096e"
-
-
-@pytest.mark.skipif(
+GOLDEN_STACKED_PREFIX = "6286bfd3ee1c544b"
+golden = pytest.mark.skipif(
     np.__version__ != GOLDEN_NUMPY,
     reason=f"golden store hash is recorded for numpy {GOLDEN_NUMPY}, not {np.__version__}",
 )
-def test_paper_setup_store_matches_golden_hash(tmp_path):
+
+
+def paper_setup_store_hash(tmp_path, kinds, seed):
     space = builtin_space("mobilenetv3")
     land = SyntheticLandscape.from_seed(space, seed=0, rho=0.8)
     config = LinasConfig(
         population_size=50, iterations=5, inner_evaluations=20_000,
-        predictor_kinds=("ridge",), seed=0,
+        predictor_kinds=kinds, seed=seed,
     )
     outcome = run_linas(space, land, land.objectives(), config)
     path = tmp_path / "store.jsonl"
     outcome.store.to_jsonl(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(GOLDEN_PREFIX)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@golden
+def test_paper_setup_store_matches_golden_hash(tmp_path):
+    assert paper_setup_store_hash(tmp_path, ("ridge",), 0).startswith(GOLDEN_PREFIX)
+
+
+@golden
+def test_paper_setup_stacked_ridge_store_matches_golden_hash(tmp_path):
+    hexdigest = paper_setup_store_hash(tmp_path, ("stacked", "ridge"), 1)
+    assert hexdigest.startswith(GOLDEN_STACKED_PREFIX)

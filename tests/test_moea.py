@@ -17,7 +17,6 @@ from linas_moo.moea import (
     fast_nondominated_sort,
     mutate,
     rank_and_crowd,
-    ranks_of,
     run_nsga2,
     run_random,
     sample_fresh_into_store,
@@ -141,7 +140,7 @@ class TestFastNondominatedSort:
     def test_ranks_match_front_position(self):
         rng = np.random.default_rng(5)
         F = rng.integers(0, 4, size=(25, 2)).astype(float)
-        ranks = ranks_of(F)
+        ranks = rank_and_crowd(F)[0]
         for r, members in enumerate(fronts_oracle(F)):
             for i in members:
                 assert ranks[i] == r
@@ -344,6 +343,108 @@ class TestEnvironmentalSelection:
         first = environmental_selection(G, F, 2)[0]
         second = environmental_selection(G, F, 2)[0]
         assert np.array_equal(first, second)
+
+
+def crowding_reference(F):
+    """Crowding within one front, one stable sort per column."""
+    dist = np.zeros(len(F))
+    for col in F.T:
+        lo, hi = float(col.min()), float(col.max())
+        if hi == lo:
+            continue
+        order = np.argsort(col, kind="stable")
+        dist[order[0]] = dist[order[-1]] = math.inf
+        dist[order[1:-1]] += (col[order[2:]] - col[order[:-2]]) / (hi - lo)
+    return dist
+
+
+def rank_and_crowd_reference(F):
+    """Per-front ranks and crowding: one crowding_reference call per front.
+
+    Fronts come from fast_nondominated_sort, whose fronts and their order
+    are pinned against the loop oracle above.
+    """
+    ranks = np.empty(len(F), dtype=np.int64)
+    crowd = np.empty(len(F))
+    for r, members in enumerate(fast_nondominated_sort(F)):
+        ranks[members] = r
+        crowd[members] = crowding_reference(F[members])
+    return ranks, crowd
+
+
+def selection_reference(G, F, pop_size):
+    """Per-front NSGA-II selection: whole fronts in index order, then the
+    boundary front by descending crowding with index order among ties."""
+    chosen, filled = [], 0
+    for members in fast_nondominated_sort(F):
+        dist = crowding_reference(F[members])
+        if filled + len(members) > pop_size:
+            members = members[np.argsort(-dist, kind="stable")[: pop_size - filled]]
+        chosen.append(members)
+        filled += len(members)
+        if filled == pop_size:
+            break
+    idx = np.concatenate(chosen)
+    ranks, crowd = rank_and_crowd_reference(F)
+    return G[idx], F[idx], ranks[idx], crowd[idx]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWholePoolRankAndCrowd:
+    """The whole-pool crowding kernel against the per-front reference, bit for bit."""
+
+    # Front 0 holds (0, 5) and (5, 0); front 1 three copies of (inf, inf),
+    # constant in both columns, where hi - lo is nan.
+    CONSTANT_INF = np.array(
+        [[0.0, 5.0], [np.inf, np.inf], [5.0, 0.0], [np.inf, np.inf], [np.inf, np.inf]]
+    )
+
+    def test_constant_inf_columns_get_no_crowding(self):
+        ranks, crowd = rank_and_crowd(self.CONSTANT_INF)
+        assert ranks.tolist() == [0, 1, 0, 1, 1]
+        assert crowd.tolist() == [math.inf, 0.0, math.inf, 0.0, 0.0]
+
+    def test_rank_and_crowd_match_reference(self):
+        cases = [self.CONSTANT_INF] + list(hard_objective_matrices(seed=31, count=300))
+        cases += hard_objective_matrices(seed=33, count=100, ms=(1, 3))
+        for F in cases:
+            ranks, crowd = rank_and_crowd(F)
+            ref_ranks, ref_crowd = rank_and_crowd_reference(F)
+            assert same_bits(ranks, ref_ranks)
+            assert same_bits(crowd, ref_crowd)
+            front = fast_nondominated_sort(F)[0]
+            assert same_bits(crowding_distance(F[front]), crowding_reference(F[front]))
+
+    def test_selection_matches_reference_in_order(self):
+        rng = np.random.default_rng(37)
+        exact_fills = 0
+        for F in hard_objective_matrices(seed=37, count=200, ms=(1, 2, 2, 3)):
+            G = rng.integers(0, 9, size=(len(F), 3))
+            # A front boundary is an exact fill; the random sizes mostly cut.
+            sizes = np.cumsum([len(f) for f in fast_nondominated_sort(F)])
+            sizes = rng.choice(sizes, size=min(4, len(sizes)), replace=False)
+            exact_fills += len(sizes)
+            for pop_size in {*sizes.tolist(), *rng.integers(1, len(F) + 1, size=3).tolist()}:
+                got = environmental_selection(G, F, pop_size)
+                want = selection_reference(G, F, pop_size)
+                for a, b in zip(got, want):
+                    assert same_bits(a, b)
+        assert exact_fills > 400
+
+    def test_exact_fill_keeps_index_order(self):
+        # Front 0 is [0, 2, 3] with crowding (inf, 2.0, inf): an exact fill of
+        # three keeps index order, not crowding order.
+        F = np.array([[0.0, 4.0], [5.0, 5.0], [1.0, 2.0], [4.0, 0.0], [6.0, 6.0]])
+        G = np.arange(10).reshape(5, 2)
+        sel_G, _, ranks, crowd = environmental_selection(G, F, 3)
+        assert sel_G[:, 0].tolist() == [0, 4, 6]
+        assert ranks.tolist() == [0, 0, 0]
+        assert crowd.tolist() == [math.inf, 2.0, math.inf]
+        sel_G, _, _, crowd = environmental_selection(G, F, 2)
+        assert sel_G[:, 0].tolist() == [0, 6]
 
 
 class TestRandomSearch:

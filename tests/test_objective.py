@@ -153,15 +153,6 @@ class TestEvaluationStore:
             "values": [75.5, 12.25],
         }
 
-    def test_csv_mirror(self, tmp_path):
-        store = self.make_store()
-        store.insert_batch([(1, 2, 1, 0)], [(75.5, 12.25)], source="alg", iteration=3)
-        path = tmp_path / "m.csv"
-        store.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "eval_index,genotype,accuracy,latency,source,iteration"
-        assert lines[1] == "1,1-2-1-0,75.5,12.25,alg,3"
-
 
 class TestNormalizeLatency:
     def test_hand_values(self):
