@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +23,10 @@ import numpy as np
 
 from . import __version__
 from .linas import LinasConfig, run_linas
-from .metrics import default_reference, hv_trace, hypervolume_2d, nondominated_mask, union_bounds
+from .metrics import (
+    default_reference, hv_trace, hypervolume_2d, nondominated_mask, normalized_hypervolume,
+    union_bounds,
+)
 from .moea import EaConfig, SpaceExhaustedError, run_nsga2, run_random, search_rng
 from .objective import (
     MAXIMIZE,
@@ -38,7 +41,7 @@ from .objective import (
     oriented_values,
     read_measurements_jsonl,
 )
-from .predictor import PREDICTOR_KINDS, analyze_predictors, featurize_batch
+from .predictor import PREDICTOR_KINDS, _standard_error, analyze_predictors, featurize_batch
 from .space import BUILTIN_SPACES, SearchSpace, builtin_space
 
 
@@ -66,6 +69,12 @@ def _get(cfg: dict, key: str, path: str, types, required: bool = True, default=N
         )
         raise ConfigError(here, f"expected {expected}, got {type(value).__name__}")
     return value
+
+
+def _present(cfg: dict, path: str, spec) -> dict:
+    """Typed keyword arguments for the ``(key, argument, type)`` entries whose
+    key is present; absent keys keep the callee's defaults."""
+    return {arg: _get(cfg, key, path, typ) for key, arg, typ in spec if key in cfg}
 
 
 def _reject_unknown(cfg: dict, known: Sequence[str], path: str) -> None:
@@ -145,17 +154,15 @@ def _build_evaluator(cfg, space, objectives, path: str = "evaluator"):
                 "objectives",
                 "the synthetic evaluator measures exactly 2 objectives",
             )
-        kwargs = {
-            "seed": _get(cfg, "seed", path, int, required=False, default=0),
-            "rho": _get(cfg, "rho", path, float, required=False, default=0.8),
-            "noise_sd": _get(cfg, "sigma", path, float, required=False, default=0.0),
-        }
-        for field, key in (("accuracy_range", "accuracy_range"), ("latency_range", "latency_range")):
+        kwargs = _present(
+            cfg, path, (("seed", "seed", int), ("rho", "rho", float), ("sigma", "noise_sd", float))
+        )
+        for key in ("accuracy_range", "latency_range"):
             rng = _get(cfg, key, path, list, required=False)
             if rng is not None:
                 if len(rng) != 2 or not all(isinstance(v, (int, float)) for v in rng):
                     raise ConfigError(f"{path}.{key}", "expected [low, high]")
-                kwargs[field] = (float(rng[0]), float(rng[1]))
+                kwargs[key] = (float(rng[0]), float(rng[1]))
         try:
             return SyntheticLandscape.from_seed(space, **kwargs)
         except ValueError as exc:
@@ -163,11 +170,9 @@ def _build_evaluator(cfg, space, objectives, path: str = "evaluator"):
     if kind == "tabular":
         _reject_unknown(cfg, ("kind", "path", "missing_policy"), path)
         table_path = _get(cfg, "path", path, str)
-        policy = _get(
-            cfg, "missing_policy", path, str, required=False, default="error"
-        )
+        kwargs = _present(cfg, path, (("missing_policy", "missing_policy", str),))
         try:
-            table = TabularEvaluator.from_csv(table_path, space, policy)
+            table = TabularEvaluator.from_csv(table_path, space, **kwargs)
         except OSError as exc:
             raise ConfigError(f"{path}.path", f"cannot read {table_path}: {exc}")
         except ValueError as exc:
@@ -182,23 +187,16 @@ def _build_evaluator(cfg, space, objectives, path: str = "evaluator"):
     raise ConfigError(f"{path}.kind", "expected 'synthetic' or 'tabular'")
 
 
-_LINAS_PARAMS = (
-    "population_size",
-    "iterations",
-    "inner_evaluations",
-    "predictor_kinds",
-    "crossover_prob",
-    "mutation_prob",
-)
-_NSGA2_PARAMS = ("population_size", "crossover_prob", "mutation_prob", "stall_generations")
+# Config fields the search config sets itself, not the algorithm entry.
+_SEARCH_OWNED = ("max_evaluations", "seed", "max_generations")
 
 
 @dataclass(frozen=True)
 class Arm:
-    """One (algorithm, seed) search job."""
+    """One (algorithm, seed) search job; ``config`` is None for random search."""
 
     kind: str
-    params: dict
+    config: EaConfig | LinasConfig | None
     seed: int
 
     @property
@@ -211,7 +209,7 @@ class SearchPlan:
     space: SearchSpace
     objectives: tuple[ObjectiveSpec, ...]
     evaluator: object
-    algorithms: tuple[tuple[str, dict], ...]
+    algorithms: tuple[tuple[str, EaConfig | LinasConfig | None], ...]
     budget: int
     seeds: tuple[int, ...]
     output_dir: Path
@@ -219,7 +217,8 @@ class SearchPlan:
     config_bytes: bytes
 
 
-def _validate_algorithm(entry, budget: int, i: int) -> tuple[str, dict]:
+def _validate_algorithm(entry, budget: int, i: int) -> tuple[str, EaConfig | LinasConfig | None]:
+    """An algorithm entry's kind and config; parameters are the config's own fields."""
     here = f"algorithms[{i}]"
     if not isinstance(entry, dict):
         raise ConfigError(here, "expected an object with kind and parameters")
@@ -227,60 +226,46 @@ def _validate_algorithm(entry, budget: int, i: int) -> tuple[str, dict]:
     kind = _get(entry, "kind", here, str)
     params = _get(entry, "parameters", here, dict, required=False, default={})
     ppath = f"{here}.parameters"
-
     if kind == "random":
         _reject_unknown(params, (), ppath)
-        return kind, {}
+        return kind, None
+    if kind not in ("nsga2", "linas"):
+        raise ConfigError(f"{here}.kind", "expected 'linas', 'nsga2', or 'random'")
 
+    cls = EaConfig if kind == "nsga2" else LinasConfig
+    known = {f.name: f.default for f in fields(cls) if f.name not in _SEARCH_OWNED}
+    _reject_unknown(params, known, ppath)
+    kwargs = _present(
+        params,
+        ppath,
+        ((key, key, type(default)) for key, default in known.items() if key != "predictor_kinds"),
+    )
     if kind == "nsga2":
-        _reject_unknown(params, _NSGA2_PARAMS, ppath)
-        out = {
-            "population_size": _get(params, "population_size", ppath, int, required=False, default=50),
-            "crossover_prob": _get(params, "crossover_prob", ppath, float, required=False, default=0.9),
-            "mutation_prob": _get(params, "mutation_prob", ppath, float, required=False, default=0.02),
-            "stall_generations": _get(params, "stall_generations", ppath, int, required=False, default=50),
-        }
-        try:
-            EaConfig(max_evaluations=budget, seed=0, **out)
-        except ValueError as exc:
-            raise ConfigError(ppath, str(exc))
-        return kind, out
-
-    if kind == "linas":
-        _reject_unknown(params, _LINAS_PARAMS, ppath)
-        pop = _get(params, "population_size", ppath, int, required=False, default=50)
-        iterations = _get(params, "iterations", ppath, int, required=False)
-        if iterations is None:
+        kwargs["max_evaluations"] = budget
+    else:
+        pop = kwargs.get("population_size", known["population_size"])
+        if "iterations" not in kwargs:
             if pop < 1 or budget % pop != 0:
                 raise ConfigError(
                     "budget",
                     f"{budget} is not a multiple of {ppath}.population_size ({pop})",
                 )
-            iterations = budget // pop
-        elif iterations * pop != budget:
+            kwargs["iterations"] = budget // pop
+        elif kwargs["iterations"] * pop != budget:
             raise ConfigError(
                 f"{ppath}.iterations",
-                f"population_size * iterations = {pop * iterations} "
+                f"population_size * iterations = {pop * kwargs['iterations']} "
                 f"but the budget is {budget}",
             )
-        kinds = params.get("predictor_kinds", ["ridge"])
-        if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
-            raise ConfigError(f"{ppath}.predictor_kinds", "expected a list of kind names")
-        out = {
-            "population_size": pop,
-            "iterations": iterations,
-            "inner_evaluations": _get(params, "inner_evaluations", ppath, int, required=False, default=20_000),
-            "predictor_kinds": tuple(kinds),
-            "crossover_prob": _get(params, "crossover_prob", ppath, float, required=False, default=0.9),
-            "mutation_prob": _get(params, "mutation_prob", ppath, float, required=False, default=0.02),
-        }
-        try:
-            LinasConfig(seed=0, **out)
-        except ValueError as exc:
-            raise ConfigError(ppath, str(exc))
-        return kind, out
-
-    raise ConfigError(f"{here}.kind", "expected 'linas', 'nsga2', or 'random'")
+        if "predictor_kinds" in params:
+            kinds = params["predictor_kinds"]
+            if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+                raise ConfigError(f"{ppath}.predictor_kinds", "expected a list of kind names")
+            kwargs["predictor_kinds"] = tuple(kinds)
+    try:
+        return kind, cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(ppath, str(exc))
 
 
 def _search_plan(cfg: dict, raw: bytes) -> SearchPlan:
@@ -332,15 +317,12 @@ def _search_plan(cfg: dict, raw: bytes) -> SearchPlan:
 
 
 def _run_arm(plan: SearchPlan, arm: Arm) -> EvaluationStore:
-    if arm.kind == "random":
+    if arm.config is None:
         return run_random(
             plan.space, plan.evaluator, plan.objectives, plan.budget, seed=arm.seed
         ).store
-    if arm.kind == "nsga2":
-        cfg = EaConfig(max_evaluations=plan.budget, seed=arm.seed, **arm.params)
-        return run_nsga2(plan.space, plan.evaluator, plan.objectives, cfg).store
-    cfg = LinasConfig(seed=arm.seed, **arm.params)
-    return run_linas(plan.space, plan.evaluator, plan.objectives, cfg).store
+    run = run_nsga2 if arm.kind == "nsga2" else run_linas
+    return run(plan.space, plan.evaluator, plan.objectives, replace(arm.config, seed=arm.seed)).store
 
 
 def _latency_index(objectives: Sequence[ObjectiveSpec]) -> int | None:
@@ -381,13 +363,6 @@ def _write_trace_csv(path: Path, counts, hvs) -> None:
             writer.writerow([k, repr(v)])
 
 
-def _stderr(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    arr = np.asarray(values)
-    return float(arr.std(ddof=1) / np.sqrt(len(arr)))
-
-
 def _cmd_search(args) -> int:
     cfg, raw = _load_config(args.config)
     plan = _search_plan(cfg, raw)
@@ -400,8 +375,8 @@ def _cmd_search(args) -> int:
     plan.output_dir.mkdir(parents=True, exist_ok=True)
 
     arms = [
-        Arm(kind=kind, params=params, seed=seed)
-        for kind, params in plan.algorithms
+        Arm(kind=kind, config=config, seed=seed)
+        for kind, config in plan.algorithms
         for seed in plan.seeds
     ]
     results: dict[str, EvaluationStore] = {}
@@ -489,7 +464,7 @@ def _cmd_search(args) -> int:
                 for k in sorted(by_algorithm.get(kind, ())):
                     vals = by_algorithm[kind][k]
                     writer.writerow(
-                        [kind, k, repr(float(np.mean(vals))), repr(_stderr(vals))]
+                        [kind, k, repr(float(np.mean(vals))), repr(_standard_error(vals))]
                     )
 
     manifest = {
@@ -677,8 +652,7 @@ def _cmd_hypervolume(args) -> int:
     if args.normalized:
         if args.ref is not None:
             raise ConfigError("--ref", "cannot combine with --normalized")
-        lo, hi = union_bounds([F])
-        value = hypervolume_2d((F - lo) / (hi - lo), np.ones(2))
+        value = normalized_hypervolume(F, union_bounds([F]))
     else:
         if args.ref is not None:
             parts = args.ref.split(",")

@@ -85,6 +85,10 @@ class LinasConfig:
             raise ValueError(
                 "inner_evaluations must cover at least one population"
             )
+        if not 0.0 <= self.crossover_prob <= 1.0:
+            raise ValueError("crossover_prob must lie in [0, 1]")
+        if not 0.0 <= self.mutation_prob <= 1.0:
+            raise ValueError("mutation_prob must lie in [0, 1]")
         if isinstance(self.predictor_kinds, str):
             raise ValueError("predictor_kinds must be a tuple of kind names")
         object.__setattr__(self, "predictor_kinds", tuple(self.predictor_kinds))
@@ -172,7 +176,6 @@ def run_linas(
     evaluator,
     objectives: Sequence[ObjectiveSpec],
     config: LinasConfig,
-    store: EvaluationStore | None = None,
 ) -> LinasOutcome:
     """Iterative predictor-guided search.
 
@@ -187,8 +190,6 @@ def run_linas(
         SpaceExhaustedError: if the space cannot supply the total budget of
             distinct configurations.
     """
-    if store is None:
-        store = EvaluationStore(space, objectives)
     kinds = config.kinds_for(objectives)
     total = config.population_size * config.iterations
     if space.cardinality() < total:
@@ -196,6 +197,7 @@ def run_linas(
             f"space {space.name!r} holds {space.cardinality()} configs, "
             f"budget is {total}"
         )
+    store = EvaluationStore(space, objectives)
     rng = search_rng(config.seed)
 
     iteration_models: list[tuple] = []

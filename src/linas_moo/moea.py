@@ -83,7 +83,6 @@ class EaConfig:
     seed: int = 0
     max_generations: int | None = None
     stall_generations: int = 50
-    source: str = "nsga2"
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -115,13 +114,6 @@ class SearchOutcome:
     population: tuple[Individual, ...]
     front: tuple[Individual, ...]
     generations: int
-
-
-def dominates(a, b) -> bool:
-    """Strict Pareto dominance between minimization vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def _ranks(F: np.ndarray) -> np.ndarray:
@@ -329,8 +321,6 @@ def run_random(
     objectives: Sequence[ObjectiveSpec],
     budget: int,
     seed: int = 0,
-    store: EvaluationStore | None = None,
-    source: str = "random",
 ) -> SearchOutcome:
     """Uniform random search with canonical deduplication.
 
@@ -347,11 +337,10 @@ def run_random(
             f"space {space.name!r} holds {space.cardinality()} configs, "
             f"budget is {budget}"
         )
-    if store is None:
-        store = EvaluationStore(space, objectives)
+    store = EvaluationStore(space, objectives)
     rng = search_rng(seed)
     measured = sample_fresh_into_store(
-        space, evaluator, store, rng, budget, source=source, iteration=0
+        space, evaluator, store, rng, budget, source="random", iteration=0
     )
     return _outcome(store, measured, objectives, 0)
 
@@ -473,16 +462,13 @@ def run_nsga2(
     evaluator,
     objectives: Sequence[ObjectiveSpec],
     config: EaConfig,
-    store: EvaluationStore | None = None,
 ) -> SearchOutcome:
-    """:func:`nsga2_core` over ``evaluator`` and a store; new rows are tagged ``config.source``."""
-    if store is None:
-        store = EvaluationStore(space, objectives)
+    """:func:`nsga2_core` over ``evaluator`` and a new store; rows are tagged ``"nsga2"``."""
+    store = EvaluationStore(space, objectives)
 
     def measure(genotypes, generation):
-        new = _measure_new(store, evaluator, genotypes, config.source, generation)
+        new = _measure_new(store, evaluator, genotypes, "nsga2", generation)
         return {m.genotype: m.values for m in new}
 
-    known = {m.genotype: m.values for m in store}
-    G, _, generations = nsga2_core(space, measure, objectives, config, known)
+    G, _, generations = nsga2_core(space, measure, objectives, config, {})
     return _outcome(store, [store.get(g) for g in map(tuple, G.tolist())], objectives, generations)

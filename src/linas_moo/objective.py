@@ -214,20 +214,18 @@ def read_measurements_jsonl(path: str | Path) -> list[Measurement]:
     return out
 
 
-def normalize_latency(values, l_min: float | None = None, l_max: float | None = None) -> np.ndarray:
-    """Scale latencies to ``(l - l_min) / l_max``.
-
-    Bounds default to the min and max of ``values``.
+def normalize_latency(values) -> np.ndarray:
+    """Scale latencies to ``(l - l_min) / l_max``, the min and max of ``values``.
 
     Raises:
         DegenerateScaleError: if ``l_max`` is 0.
-        ValueError: on empty input without explicit bounds.
+        ValueError: on empty input.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0 and (l_min is None or l_max is None):
+    if arr.size == 0:
         raise ValueError("cannot infer latency bounds from empty input")
-    lo = float(np.min(arr)) if l_min is None else float(l_min)
-    hi = float(np.max(arr)) if l_max is None else float(l_max)
+    lo = float(np.min(arr))
+    hi = float(np.max(arr))
     if hi == 0.0:
         raise DegenerateScaleError("latency scale l_max is 0")
     return (arr - lo) / hi
@@ -358,9 +356,6 @@ class SyntheticLandscape:
             accuracy_range=accuracy_range,
             latency_range=latency_range,
         )
-
-    def objectives(self) -> tuple[ObjectiveSpec, ObjectiveSpec]:
-        return (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZE))
 
     @cached_property
     def _pair_cols(self) -> tuple[np.ndarray, np.ndarray]:

@@ -424,6 +424,14 @@ def kendall_tau(x, y) -> float:
     return (conc - disc) / denom
 
 
+def _standard_error(values) -> float:
+    """Standard error of the mean, ``std(ddof=1) / sqrt(n)``; 0.0 below two values."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size < 2:
+        return 0.0
+    return float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+
 @dataclass(frozen=True, eq=False)
 class PredictorReport:
     """Aggregated MAPE and Kendall tau per (kind, train size).
@@ -457,9 +465,9 @@ class PredictorReport:
                         "train_size": size,
                         "kind": kind,
                         "mape_mean": float(m.mean()),
-                        "mape_stderr": float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0,
+                        "mape_stderr": _standard_error(m),
                         "tau_mean": float(t.mean()),
-                        "tau_stderr": float(t.std(ddof=1) / math.sqrt(len(t))) if len(t) > 1 else 0.0,
+                        "tau_stderr": _standard_error(t),
                     }
                 )
         return out
@@ -473,7 +481,6 @@ def analyze_predictors(
     test_size: int = 500,
     kinds: Sequence[str] = PREDICTOR_KINDS,
     seed: int = 0,
-    params: dict | None = None,
 ) -> PredictorReport:
     """Measure predictor quality as a function of training set size.
 
@@ -481,15 +488,13 @@ def analyze_predictors(
     test set of ``test_size`` examples, and reuses that same test set for
     every train size within the trial; train sets are nested prefixes of the
     remaining pool. Reported MAPE and tau are per-trial values on the held
-    out set. When ``stacked`` is among the kinds, the ``ridge`` and
-    ``svr_rbf`` cells reuse its full-data base models wherever their
-    constructor parameters agree, which gives the same numbers as a fresh fit.
+    out set. Every kind uses its default parameters, so when ``stacked`` is
+    among the kinds, the ``ridge`` and ``svr_rbf`` cells reuse its full-data
+    base models, which gives the same numbers as a fresh fit.
 
     Args:
         features: Dataset feature matrix ``(N, d)``.
         targets: Dataset target vector ``(N,)``.
-        params: Optional per-kind constructor overrides,
-            e.g. ``{"ridge": {"alpha": 0.1}}``.
 
     Raises:
         ValueError: if the dataset is smaller than ``max(train_sizes) + test_size``.
@@ -510,17 +515,11 @@ def analyze_predictors(
     for kind in kinds:
         if kind not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor kind {kind!r}")
-    params = params or {}
 
-    # Stacking refits its ridge and SVR bases on the full train set. A
-    # standalone ridge or svr_rbf cell reuses that fit when its unfitted model
-    # equals the stacked one's base, instead of fitting the same model twice.
-    reused = {}
-    if "stacked" in kinds:
-        bases = make_predictor("stacked", **params.get("stacked", {}))._make_bases()
-        for kind, base, attr in zip(("ridge", "svr_rbf"), bases, ("base_ridge_", "base_svr_")):
-            if kind in kinds and vars(make_predictor(kind, **params.get(kind, {}))) == vars(base):
-                reused[kind] = attr
+    # Stacking refits its default ridge and SVR bases on the full train set;
+    # a standalone ridge or svr_rbf cell reuses that fit instead of fitting
+    # the same model twice.
+    reused = {"ridge": "base_ridge_", "svr_rbf": "base_svr_"} if "stacked" in kinds else {}
     fit_order = sorted(kinds, key=lambda kind: kind != "stacked")
 
     mape_trials = {k: np.empty((len(sizes), trials)) for k in kinds}
@@ -538,7 +537,7 @@ def analyze_predictors(
                 if kind in reused:
                     model = getattr(fitted["stacked"], reused[kind])
                 else:
-                    model = make_predictor(kind, seed=seed * 100_003 + t, **params.get(kind, {}))
+                    model = make_predictor(kind, seed=seed * 100_003 + t)
                     model.fit(X[train], z[train])
                 fitted[kind] = model
                 pred = model.predict(X_test)

@@ -256,16 +256,12 @@ class SearchSpace:
         G = np.asarray(genotypes, dtype=np.int64)
         return np.where(self.active_mask_batch(G), G, 0)
 
-    def unit_coordinates(self, genotype: Genotype) -> np.ndarray:
-        """Map a genotype to unit-interval coordinates.
+    def unit_coordinates_batch(self, genotypes) -> np.ndarray:
+        """Map ``(B, n)`` genotypes to unit-interval coordinates.
 
         Position i becomes ``index / (k_i - 1)``; single-option and inactive
-        positions become 0.0. The genotype is canonicalized first.
+        positions become 0.0. The genotypes are canonicalized first.
         """
-        return self.unit_coordinates_batch(self.validate_batch([genotype]))[0]
-
-    def unit_coordinates_batch(self, genotypes) -> np.ndarray:
-        """Vectorised :meth:`unit_coordinates` over a ``(B, n)`` array."""
         G = self.canonicalize_batch(np.asarray(genotypes, dtype=np.int64))
         denom = np.maximum(self.option_counts - 1, 1).astype(np.float64)
         return G / denom

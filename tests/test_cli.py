@@ -354,6 +354,96 @@ class TestSearchConfigErrors:
             main(["search"])
         assert excinfo.value.code == 2
 
+    def algorithm(self, tmp_path, kind, parameters, budget=10):
+        algo = {"kind": kind, "parameters": parameters}
+        return base_config(tmp_path, algorithms=[algo], budget=budget)
+
+    @pytest.mark.parametrize("kind", ["nsga2", "linas"])
+    @pytest.mark.parametrize(
+        "value, got", [("5", "str"), (True, "bool"), (5.0, "float")]
+    )
+    def test_population_size_must_be_int(self, tmp_path, capsys, kind, value, got):
+        cfg = self.algorithm(tmp_path, kind, {"population_size": value})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert f"algorithms[0].parameters.population_size: expected int, got {got}" in err
+
+    @pytest.mark.parametrize("kind", ["nsga2", "linas"])
+    def test_int_probability_is_accepted_as_float(self, tmp_path, capsys, kind):
+        params = {"population_size": 5, "crossover_prob": 1}
+        if kind == "linas":
+            params["inner_evaluations"] = 50
+        code, err = self.run(tmp_path, self.algorithm(tmp_path, kind, params), capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("kind", ["nsga2", "linas"])
+    def test_population_size_below_two(self, tmp_path, capsys, kind):
+        cfg = self.algorithm(tmp_path, kind, {"population_size": 1})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert "algorithms[0].parameters: population_size must be at least 2" in err
+
+    def test_linas_iterations_must_match_budget(self, tmp_path, capsys):
+        cfg = self.algorithm(tmp_path, "linas", {"population_size": 5, "iterations": 3})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert (
+            "algorithms[0].parameters.iterations: population_size * iterations = 15 "
+            "but the budget is 10"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            ("ridge", ".predictor_kinds: expected a list of kind names"),
+            ([1], ".predictor_kinds: expected a list of kind names"),
+            ([], ": need at least one predictor kind"),
+            (["gp"], ": unknown predictor kind 'gp'"),
+        ],
+    )
+    def test_predictor_kinds_form(self, tmp_path, capsys, kinds, message):
+        cfg = self.algorithm(
+            tmp_path, "linas", {"population_size": 5, "predictor_kinds": kinds}
+        )
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2 and f"algorithms[0].parameters{message}" in err
+
+    def test_random_takes_no_parameters(self, tmp_path, capsys):
+        cfg = self.algorithm(tmp_path, "random", {"population_size": 5})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert "algorithms[0].parameters.population_size: unknown field" in err
+
+    @pytest.mark.parametrize(
+        "kind, known",
+        [
+            ("nsga2", "crossover_prob, mutation_prob, population_size, stall_generations"),
+            (
+                "linas",
+                "crossover_prob, inner_evaluations, iterations, mutation_prob, "
+                "population_size, predictor_kinds",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "key", ["seed", "source", "max_evaluations", "max_generations"]
+    )
+    def test_search_owned_fields_are_not_parameters(
+        self, tmp_path, capsys, kind, known, key
+    ):
+        cfg = self.algorithm(tmp_path, kind, {key: 1})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert f"algorithms[0].parameters.{key}: unknown field (known: {known})" in err
+
+    @pytest.mark.parametrize("key", ["crossover_prob", "mutation_prob"])
+    def test_linas_probability_out_of_range(self, tmp_path, capsys, key):
+        cfg = self.algorithm(tmp_path, "linas", {"population_size": 5, key: -1})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert f"algorithms[0].parameters: {key} must lie in [0, 1]" in err
+        assert not list((tmp_path / "out").glob("*.jsonl"))
+
 
 class TestPredictorAnalysisCommand:
     def test_report_row_counts(self, tmp_path):

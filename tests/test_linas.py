@@ -71,6 +71,10 @@ class TestLinasConfig:
             LinasConfig(predictor_kinds="ridge")
         with pytest.raises(ValueError):
             LinasConfig(predictor_kinds=())
+        with pytest.raises(ValueError, match=r"crossover_prob must lie in \[0, 1\]"):
+            LinasConfig(crossover_prob=7.0)
+        with pytest.raises(ValueError, match=r"mutation_prob must lie in \[0, 1\]"):
+            LinasConfig(mutation_prob=-1.0)
 
     def test_kinds_broadcast_and_exact(self):
         assert LinasConfig().kinds_for(ACC_LAT) == ("ridge", "ridge")
@@ -358,7 +362,7 @@ def paper_setup_store_hash(tmp_path, kinds, seed):
         population_size=50, iterations=5, inner_evaluations=20_000,
         predictor_kinds=kinds, seed=seed,
     )
-    outcome = run_linas(space, land, land.objectives(), config)
+    outcome = run_linas(space, land, ACC_LAT, config)
     path = tmp_path / "store.jsonl"
     outcome.store.to_jsonl(path)
     return hashlib.sha256(path.read_bytes()).hexdigest()

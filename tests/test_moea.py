@@ -12,7 +12,6 @@ from linas_moo.moea import (
     SpaceExhaustedError,
     crossover_two_point,
     crowding_distance,
-    dominates,
     environmental_selection,
     fast_nondominated_sort,
     mutate,
@@ -68,28 +67,6 @@ class FunctionEvaluator:
 
     def evaluate_batch(self, genotypes):
         return np.array([self.fn(g) for g in genotypes], dtype=np.float64)
-
-
-class TestDominates:
-    def test_hand_cases(self):
-        assert dominates((1.0, 2.0), (2.0, 2.0))
-        assert dominates((1.0, 1.0), (2.0, 2.0))
-        assert not dominates((1.0, 2.0), (1.0, 2.0))
-        assert not dominates((1.0, 3.0), (2.0, 2.0))
-        assert not dominates((2.0, 2.0), (1.0, 2.0))
-
-    def test_single_objective(self):
-        assert dominates((1.0,), (2.0,))
-        assert not dominates((2.0,), (1.0,))
-        assert not dominates((2.0,), (2.0,))
-
-    def test_matches_oracle_on_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            m = int(rng.integers(1, 4))
-            a = rng.integers(0, 4, size=m).astype(float)
-            b = rng.integers(0, 4, size=m).astype(float)
-            assert dominates(a, b) == dominates_oracle(a, b)
 
 
 class TestFastNondominatedSort:

@@ -160,10 +160,6 @@ class TestNormalizeLatency:
         out = normalize_latency([10.0, 20.0, 40.0])
         assert np.allclose(out, [0.0, 0.25, 0.75])
 
-    def test_explicit_bounds(self):
-        out = normalize_latency([5.0], l_min=0.0, l_max=10.0)
-        assert np.allclose(out, [0.5])
-
     def test_zero_scale_raises(self):
         with pytest.raises(DegenerateScaleError):
             normalize_latency([0.0, 0.0])
