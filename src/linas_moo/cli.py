@@ -41,7 +41,13 @@ from .objective import (
     oriented_values,
     read_measurements_jsonl,
 )
-from .predictor import PREDICTOR_KINDS, _standard_error, analyze_predictors, featurize_batch
+from .predictor import (
+    DEFAULT_STACK_FOLDS,
+    PREDICTOR_KINDS,
+    _standard_error,
+    analyze_predictors,
+    featurize_batch,
+)
 from .space import BUILTIN_SPACES, SearchSpace, builtin_space
 
 
@@ -160,7 +166,9 @@ def _build_evaluator(cfg, space, objectives, path: str = "evaluator"):
         for key in ("accuracy_range", "latency_range"):
             rng = _get(cfg, key, path, list, required=False)
             if rng is not None:
-                if len(rng) != 2 or not all(isinstance(v, (int, float)) for v in rng):
+                if len(rng) != 2 or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng
+                ):
                     raise ConfigError(f"{path}.{key}", "expected [low, high]")
                 kwargs[key] = (float(rng[0]), float(rng[1]))
         try:
@@ -530,11 +538,24 @@ def _cmd_predictor_analysis(args) -> int:
         raise ConfigError("kinds", f"expected a non-empty subset of {PREDICTOR_KINDS}")
     sizes = cfg.get("train_sizes", list(range(100, 1001, 100)))
     if not isinstance(sizes, list) or not sizes or not all(
-        isinstance(s, int) and s > 0 for s in sizes
+        isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes
     ):
         raise ConfigError("train_sizes", "expected a non-empty list of positive integers")
+    if min(sizes) < 2:
+        raise ConfigError(
+            "train_sizes", "a fit on 1 row predicts a constant, so Kendall tau is undefined"
+        )
+    if "stacked" in kinds and min(sizes) < DEFAULT_STACK_FOLDS:
+        raise ConfigError(
+            "train_sizes",
+            f"stacked needs at least {DEFAULT_STACK_FOLDS} training rows, one per fold",
+        )
     trials = _get(cfg, "trials", "", int, required=False, default=100)
+    if trials < 1:
+        raise ConfigError("trials", "must be positive")
     test_size = _get(cfg, "test_size", "", int, required=False, default=500)
+    if test_size < 2:
+        raise ConfigError("test_size", "must be at least 2 (Kendall tau compares pairs)")
     seed = _get(cfg, "seed", "", int, required=False, default=0)
     output_dir = Path(_get(cfg, "output_dir", "", str))
 

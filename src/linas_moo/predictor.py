@@ -103,13 +103,16 @@ class RidgeModel:
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    # Built in place; the operation order of exp(-gamma * max(|a|^2 + |b|^2
+    # - 2 a.b, 0)) is kept so that outputs stay bitwise stable.
+    sq = np.add.outer(np.sum(A * A, axis=1), np.sum(B * B, axis=1))
+    cross = A @ B.T
+    cross *= 2.0
+    sq -= cross
+    del cross
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 class SvrRbfModel:
@@ -122,8 +125,9 @@ class SvrRbfModel:
     promises the largest decrease of the dual objective. The loop stops at a
     KKT gap of ``tol`` or after ``max_iter`` pair updates, whichever comes
     first; ``converged_`` false means the fit stopped at ``max_iter`` with
-    ``kkt_gap_`` still above ``tol``. The full kernel matrix is materialised
-    once, so memory is O(n^2); intended for the few-thousand-sample regime.
+    ``kkt_gap_`` still above ``tol``. The full kernel matrix and the pair
+    curvature matrix are materialised once per fit, so a fit holds 2 n^2
+    floats; intended for the few-thousand-sample regime.
 
     Attributes after fit: ``dual_coef_`` (beta = alpha - alpha*, one per
     training point, |beta| <= C), ``intercept_``, ``kkt_gap_``,
@@ -164,6 +168,10 @@ class SvrRbfModel:
         # K is symmetric, so row t stands for column t and the hot loop
         # reads contiguous views.
         K = _rbf_kernel(X, X, self.gamma_)
+        # Half the WSS2 pair curvature, K_ii + K_jj - 2 K_ij = 2 (1 - K_ij)
+        # (the RBF diagonal is 1), floored like LIBSVM's tau.
+        H = np.subtract(1.0, K)
+        np.maximum(H, _TAU / 2.0, out=H)
         C, eps = self.C, self.epsilon
 
         # Doubled formulation: lam = (alpha, alpha*), sign = (+1, -1),
@@ -182,35 +190,30 @@ class SvrRbfModel:
         low = np.full(n, eps)  # alpha == 0, alpha* < C
         v_up = np.empty(n)
         score = np.empty(n)
-        half_quad = np.empty(n)
         step = np.empty(n)
+        f_at, low_at = f.item, low.item
         it = 0
         gap = math.inf
         for it in range(1, self.max_iter + 1):
             np.add(f, up, out=v_up)
             i = int(v_up.argmax())
-            m = float(v_up[i])
+            m = v_up.item(i)
             # score = m - (f + low): positive where t violates with i.
             np.subtract(m, f, out=score)
             score -= low
-            gap = float(score.max())
+            gap = score.item(score.argmax())
             if gap <= self.tol:
                 self.converged_ = True
                 break
 
-            # WSS2: among violating t, maximise score^2 / quad_t with the pair
-            # curvature quad_t = K_ii + K_tt - 2 K_it = 2 (1 - K_it) (the RBF
-            # diagonal is 1), floored like LIBSVM's tau.
-            col_i = K[i]
-            np.subtract(1.0, col_i, out=half_quad)
-            np.maximum(half_quad, _TAU / 2.0, out=half_quad)
+            # WSS2: among violating t, maximise score^2 / quad_t.
+            half_quad = H[i]
             np.maximum(score, 0.0, out=score)
             score *= score
             score /= half_quad
             j = int(score.argmax())
-            col_j = K[j]
-            b_ij = m - float(f[j] + low[j])
-            q = 2.0 * float(half_quad[j])
+            b_ij = m - (f_at(j) + low_at(j))
+            q = 2.0 * half_quad.item(j)
 
             # i moves alpha*[i] when that is positive, else alpha[i]; j moves
             # alpha[j] when that is positive, else alpha*[j].
@@ -254,14 +257,16 @@ class SvrRbfModel:
                 alpha[j] = nj
             else:
                 alpha_s[j] = nj
-            np.multiply(col_i, si * (ni - old_i), out=step)
+            np.multiply(K[i], si * (ni - old_i), out=step)
             f -= step
-            np.multiply(col_j, sj * (nj - old_j), out=step)
+            np.multiply(K[j], sj * (nj - old_j), out=step)
             f -= step
-            for t in (i, j):
-                a_t, s_t = alpha[t], alpha_s[t]
-                up[t] = eps if s_t > 0 else (-eps if a_t < C else -math.inf)
-                low[t] = -eps if a_t > 0 else (eps if s_t < C else math.inf)
+            a_t, s_t = alpha[i], alpha_s[i]
+            up[i] = eps if s_t > 0 else (-eps if a_t < C else -math.inf)
+            low[i] = -eps if a_t > 0 else (eps if s_t < C else math.inf)
+            a_t, s_t = alpha[j], alpha_s[j]
+            up[j] = eps if s_t > 0 else (-eps if a_t < C else -math.inf)
+            low[j] = -eps if a_t > 0 else (eps if s_t < C else math.inf)
 
         self.n_iter_ = it
         self.kkt_gap_ = gap

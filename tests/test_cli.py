@@ -349,6 +349,13 @@ class TestSearchConfigErrors:
         code, err = self.run(tmp_path, cfg, capsys)
         assert code == 2 and "objectives" in err
 
+    @pytest.mark.parametrize("key", ["accuracy_range", "latency_range"])
+    def test_synthetic_range_rejects_bool(self, tmp_path, capsys, key):
+        cfg = base_config(tmp_path)
+        cfg["evaluator"][key] = [True, 5]
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2 and f"evaluator.{key}: expected [low, high]" in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["search"])
@@ -503,6 +510,68 @@ class TestPredictorAnalysisCommand:
         }
         assert main(["predictor-analysis", "-c", write_config(tmp_path, cfg)]) == 2
         assert "kinds" in capsys.readouterr().err
+
+    def rejected_before_sampling(self, tmp_path, capsys, monkeypatch, **overrides):
+        """Run a config that must fail validation; sampling would raise."""
+
+        def no_sampling(seed):
+            raise AssertionError("the dataset was sampled before validation")
+
+        monkeypatch.setattr("linas_moo.cli.search_rng", no_sampling)
+        cfg = {
+            "space": "ncf",
+            "evaluator": {"kind": "synthetic", "seed": 0},
+            "kinds": ["stacked"],
+            "train_sizes": [20],
+            "trials": 1,
+            "test_size": 5,
+            "output_dir": str(tmp_path / "rep"),
+            **overrides,
+        }
+        code = main(["predictor-analysis", "-c", write_config(tmp_path, cfg)])
+        assert not (tmp_path / "rep").exists()
+        return code, capsys.readouterr().err
+
+    def test_bool_train_size_exit_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self.rejected_before_sampling(
+            tmp_path, capsys, monkeypatch, train_sizes=[True]
+        )
+        assert code == 2 and "train_sizes: expected a non-empty list" in err
+
+    def test_train_size_below_stack_folds_exit_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self.rejected_before_sampling(
+            tmp_path, capsys, monkeypatch, train_sizes=[3, 20]
+        )
+        assert code == 2 and "train_sizes: stacked needs at least 5" in err
+
+    def test_single_row_train_size_exit_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self.rejected_before_sampling(
+            tmp_path, capsys, monkeypatch, kinds=["ridge"], train_sizes=[1]
+        )
+        assert code == 2 and "train_sizes: a fit on 1 row predicts a constant" in err
+
+    def test_small_train_size_without_stacked_is_accepted(self, tmp_path):
+        cfg = {
+            "space": "ncf",
+            "evaluator": {"kind": "synthetic", "seed": 0},
+            "kinds": ["ridge"],
+            "train_sizes": [3],
+            "trials": 1,
+            "test_size": 20,
+            "output_dir": str(tmp_path / "rep"),
+        }
+        assert main(["predictor-analysis", "-c", write_config(tmp_path, cfg)]) == 0
+
+    def test_zero_trials_exit_2(self, tmp_path, capsys, monkeypatch):
+        code, err = self.rejected_before_sampling(tmp_path, capsys, monkeypatch, trials=0)
+        assert code == 2 and "trials: must be positive" in err
+
+    @pytest.mark.parametrize("test_size", [0, 1])
+    def test_test_size_below_two_exit_2(self, tmp_path, capsys, monkeypatch, test_size):
+        code, err = self.rejected_before_sampling(
+            tmp_path, capsys, monkeypatch, test_size=test_size
+        )
+        assert code == 2 and "test_size: must be at least 2" in err
 
 
 def write_jsonl(path, rows):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from linas_moo.predictor import (
     StackedModel,
     SvrRbfModel,
     UndefinedMetricError,
+    _rbf_kernel,
     analyze_predictors,
     featurize_batch,
     kendall_tau,
@@ -61,6 +63,133 @@ def kendall_oracle(x, y) -> float:
             else:
                 disc += 1
     return (conc - disc) / math.sqrt((conc + disc + tx) * (conc + disc + ty))
+
+
+def reference_rbf_kernel(A, B, gamma):
+    """The broadcast RBF formula, three n x m temporaries at once."""
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def reference_smo(X, z, C, eps, gamma, tol, max_iter):
+    """The WSS2 SMO loop written out plainly: the pair curvature is formed
+    from the kernel row on every iteration and the gap is ``score.max()``.
+    ``SvrRbfModel.fit`` must follow it bit for bit.
+
+    Returns ``(beta, intercept, n_iter, kkt_gap, converged)``.
+    """
+    n = X.shape[0]
+    K = reference_rbf_kernel(X, X, gamma)
+    alpha = [0.0] * n
+    alpha_s = [0.0] * n
+    f = z.copy()
+    up = np.full(n, -eps)
+    low = np.full(n, eps)
+    v_up = np.empty(n)
+    score = np.empty(n)
+    half_quad = np.empty(n)
+    step = np.empty(n)
+    it = 0
+    gap = math.inf
+    converged = False
+    for it in range(1, max_iter + 1):
+        np.add(f, up, out=v_up)
+        i = int(v_up.argmax())
+        m = float(v_up[i])
+        np.subtract(m, f, out=score)
+        score -= low
+        gap = float(score.max())
+        if gap <= tol:
+            converged = True
+            break
+        col_i = K[i]
+        np.subtract(1.0, col_i, out=half_quad)
+        np.maximum(half_quad, 1e-12 / 2.0, out=half_quad)
+        np.maximum(score, 0.0, out=score)
+        score *= score
+        score /= half_quad
+        j = int(score.argmax())
+        col_j = K[j]
+        b_ij = m - float(f[j] + low[j])
+        q = 2.0 * float(half_quad[j])
+        si = -1.0 if alpha_s[i] > 0 else 1.0
+        sj = 1.0 if alpha[j] > 0 else -1.0
+        old_i = alpha_s[i] if si < 0 else alpha[i]
+        old_j = alpha[j] if sj > 0 else alpha_s[j]
+        if si != sj:
+            delta = si * b_ij / q
+            diff = old_i - old_j
+            ni, nj = old_i + delta, old_j + delta
+            if diff > 0:
+                if nj < 0:
+                    nj, ni = 0.0, diff
+                if ni > C:
+                    ni, nj = C, C - diff
+            else:
+                if ni < 0:
+                    ni, nj = 0.0, -diff
+                if nj > C:
+                    nj, ni = C, C + diff
+        else:
+            delta = -si * b_ij / q
+            total = old_i + old_j
+            ni, nj = old_i - delta, old_j + delta
+            if total > C:
+                if ni > C:
+                    ni, nj = C, total - C
+                if nj > C:
+                    nj, ni = C, total - C
+            else:
+                if nj < 0:
+                    nj, ni = 0.0, total
+                if ni < 0:
+                    ni, nj = 0.0, total
+        if si < 0:
+            alpha_s[i] = ni
+        else:
+            alpha[i] = ni
+        if sj > 0:
+            alpha[j] = nj
+        else:
+            alpha_s[j] = nj
+        np.multiply(col_i, si * (ni - old_i), out=step)
+        f -= step
+        np.multiply(col_j, sj * (nj - old_j), out=step)
+        f -= step
+        for t in (i, j):
+            a_t, s_t = alpha[t], alpha_s[t]
+            up[t] = eps if s_t > 0 else (-eps if a_t < C else -math.inf)
+            low[t] = -eps if a_t > 0 else (eps if s_t < C else math.inf)
+    alpha_v = np.array(alpha)
+    alpha_s_v = np.array(alpha_s)
+    free = (alpha_v > 0) & (alpha_v < C)
+    free_s = (alpha_s_v > 0) & (alpha_s_v < C)
+    if np.any(free) or np.any(free_s):
+        b = float(np.mean(np.concatenate([f[free] - eps, f[free_s] + eps])))
+    else:
+        b = float((np.max(f + up) + np.min(f + low)) / 2.0)
+    return alpha_v - alpha_s_v, b, it, gap, converged
+
+
+def learning_curve_data(n=1000):
+    """The largest train size of the learning-curve protocol: ``n``
+    distinct ncf genotypes from the seed-0 synthetic landscape."""
+    space = builtin_space("ncf")
+    landscape = SyntheticLandscape.from_seed(space, seed=0, rho=0.8, noise_sd=0.0)
+    rng = search_rng(0)
+    seen, genotypes = set(), []
+    while len(genotypes) < n:
+        g = space.sample_uniform(rng)
+        if g not in seen:
+            seen.add(g)
+            genotypes.append(g)
+    X = featurize_batch(space, genotypes)
+    return X, np.asarray(landscape.evaluate_batch(genotypes))[:, 0]
 
 
 class TestFeaturize:
@@ -182,19 +311,7 @@ class TestSvrRbf:
         assert np.array_equal(a.predict(grid), b.predict(grid))
 
     def test_converges_on_learning_curve_data(self):
-        # The largest train size of the learning-curve protocol: 1,000
-        # distinct ncf genotypes from the seed-0 synthetic landscape.
-        space = builtin_space("ncf")
-        landscape = SyntheticLandscape.from_seed(space, seed=0, rho=0.8, noise_sd=0.0)
-        rng = search_rng(0)
-        seen, genotypes = set(), []
-        while len(genotypes) < 1000:
-            g = space.sample_uniform(rng)
-            if g not in seen:
-                seen.add(g)
-                genotypes.append(g)
-        X = featurize_batch(space, genotypes)
-        y = np.asarray(landscape.evaluate_batch(genotypes))[:, 0]
+        X, y = learning_curve_data()
         model = SvrRbfModel().fit(X, y)
         assert model.converged_
         assert model.kkt_gap_ <= model.tol
@@ -212,6 +329,68 @@ class TestSvrRbf:
             SvrRbfModel(epsilon=-0.1)
         with pytest.raises(ValueError):
             SvrRbfModel(gamma=0.0)
+
+
+class TestSmoMatchesReference:
+    """``SvrRbfModel.fit`` takes the reference loop's path bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case, params",
+        [
+            ("constant", {"epsilon": 0.1}),
+            ("duplicates", {"C": 5.0}),
+            ("random", {"max_iter": 50}),
+            ("random", {"gamma": 2.5}),
+            ("learning_curve", {}),
+        ],
+    )
+    def test_fit_matches_reference(self, case, params):
+        if case == "constant":
+            X, y = np.linspace(0, 1, 8).reshape(-1, 1), np.full(8, 3.25)
+        elif case == "duplicates":
+            X, y = np.zeros((2, 1)), np.array([0.0, 1.0])
+        elif case == "random":
+            rng = np.random.default_rng(3)
+            X = rng.uniform(size=(120, 5))
+            y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2]
+        else:
+            X, y = learning_curve_data()
+        model = SvrRbfModel(**params).fit(X, y)
+        beta, b, n_iter, gap, converged = reference_smo(
+            X, y, model.C, model.epsilon, model.gamma_, model.tol, model.max_iter
+        )
+        assert model.dual_coef_.tobytes() == beta.tobytes()
+        assert model.intercept_.hex() == b.hex()
+        assert model.n_iter_ == n_iter
+        assert model.kkt_gap_.hex() == gap.hex()
+        assert model.converged_ == converged
+        if "max_iter" in params:
+            # The cap case: the gap is the last iteration's, above tol.
+            assert not converged and n_iter == 50 and gap > model.tol
+        if case == "duplicates":
+            assert np.all(np.abs(beta) == 5.0)
+
+    @pytest.mark.parametrize("d", [9, 45])
+    @pytest.mark.parametrize("rows", [(60, 60), (70, 31)])
+    def test_kernel_matches_broadcast_formula(self, d, rows):
+        rng = np.random.default_rng(d)
+        A = rng.uniform(size=(rows[0], d))
+        B = A if rows[0] == rows[1] else rng.uniform(size=(rows[1], d))
+        for gamma in (1.0 / d, 0.37):
+            expected = reference_rbf_kernel(A, B, gamma)
+            assert _rbf_kernel(A, B, gamma).tobytes() == expected.tobytes()
+
+    def test_fit_memory_peak_is_two_matrices(self):
+        # The kernel and the curvature matrix, plus O(n) working vectors.
+        X, y = learning_curve_data()
+        n = X.shape[0]
+        tracemalloc.start()
+        try:
+            SvrRbfModel().fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8 + 2**20
 
 
 class TestStacked:
