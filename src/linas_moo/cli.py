@@ -27,7 +27,9 @@ from .metrics import (
     default_reference, hv_trace, hypervolume_2d, nondominated_mask, normalized_hypervolume,
     union_bounds,
 )
-from .moea import EaConfig, SpaceExhaustedError, run_nsga2, run_random, search_rng
+from .moea import (
+    EaConfig, SpaceExhaustedError, draw_unseen, run_nsga2, run_random, search_rng,
+)
 from .objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -42,10 +44,14 @@ from .objective import (
     read_measurements_jsonl,
 )
 from .predictor import (
-    DEFAULT_STACK_FOLDS,
+    DEFAULT_ANALYSIS_SEED,
+    DEFAULT_TEST_SIZE,
+    DEFAULT_TRAIN_SIZES,
+    DEFAULT_TRIALS,
     PREDICTOR_KINDS,
     _standard_error,
     analyze_predictors,
+    check_protocol,
     featurize_batch,
 )
 from .space import BUILTIN_SPACES, SearchSpace, builtin_space
@@ -531,62 +537,34 @@ def _cmd_predictor_analysis(args) -> int:
         raise ConfigError(
             "target_index", f"must index one of {len(objectives)} objectives"
         )
-    kinds = cfg.get("kinds", list(PREDICTOR_KINDS))
-    if not isinstance(kinds, list) or not kinds or not all(
-        isinstance(k, str) and k in PREDICTOR_KINDS for k in kinds
-    ):
-        raise ConfigError("kinds", f"expected a non-empty subset of {PREDICTOR_KINDS}")
-    sizes = cfg.get("train_sizes", list(range(100, 1001, 100)))
-    if not isinstance(sizes, list) or not sizes or not all(
-        isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes
-    ):
-        raise ConfigError("train_sizes", "expected a non-empty list of positive integers")
-    if min(sizes) < 2:
-        raise ConfigError(
-            "train_sizes", "a fit on 1 row predicts a constant, so Kendall tau is undefined"
+    protocol = {
+        key: _get(cfg, key, "", type(default), required=False, default=default)
+        for key, default in (
+            ("kinds", list(PREDICTOR_KINDS)), ("train_sizes", list(DEFAULT_TRAIN_SIZES)),
+            ("trials", DEFAULT_TRIALS), ("test_size", DEFAULT_TEST_SIZE),
         )
-    if "stacked" in kinds and min(sizes) < DEFAULT_STACK_FOLDS:
-        raise ConfigError(
-            "train_sizes",
-            f"stacked needs at least {DEFAULT_STACK_FOLDS} training rows, one per fold",
-        )
-    trials = _get(cfg, "trials", "", int, required=False, default=100)
-    if trials < 1:
-        raise ConfigError("trials", "must be positive")
-    test_size = _get(cfg, "test_size", "", int, required=False, default=500)
-    if test_size < 2:
-        raise ConfigError("test_size", "must be at least 2 (Kendall tau compares pairs)")
-    seed = _get(cfg, "seed", "", int, required=False, default=0)
+    }
+    try:
+        check_protocol(**protocol)
+    except ValueError as exc:
+        field, _, message = str(exc).partition(": ")
+        raise ConfigError(field, message)
+    seed = _get(cfg, "seed", "", int, required=False, default=DEFAULT_ANALYSIS_SEED)
     output_dir = Path(_get(cfg, "output_dir", "", str))
 
-    needed = max(sizes) + test_size
+    needed = max(protocol["train_sizes"]) + protocol["test_size"]
     if space.cardinality() < needed:
         raise SpaceExhaustedError(
             f"space {space.name!r} holds {space.cardinality()} distinct configs; "
             f"the protocol needs {needed}"
         )
-    rng = search_rng(seed)
-    genotypes: list = []
-    seen = set()
-    while len(genotypes) < needed:
-        g = space.sample_uniform(rng)
-        if g not in seen:
-            seen.add(g)
-            genotypes.append(g)
+    genotypes = draw_unseen(space, search_rng(seed), needed, ())
     X = featurize_batch(space, genotypes)
     Y = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
     rejected = int(np.isnan(Y).all(axis=1).sum())
     if rejected:
         raise ValueError(f"the evaluator rejected {rejected} of {needed} sampled configurations")
-    report = analyze_predictors(
-        X,
-        Y[:, target],
-        train_sizes=sizes,
-        trials=trials,
-        test_size=test_size,
-        kinds=kinds,
-        seed=seed,
-    )
+    report = analyze_predictors(X, Y[:, target], seed=seed, **protocol)
     output_dir.mkdir(parents=True, exist_ok=True)
     out = output_dir / "predictor_report.csv"
     fields = ["train_size", "kind", "mape_mean", "mape_stderr", "tau_mean", "tau_stderr"]
@@ -676,13 +654,12 @@ def _cmd_hypervolume(args) -> int:
         value = normalized_hypervolume(F, union_bounds([F]))
     else:
         if args.ref is not None:
-            parts = args.ref.split(",")
             try:
-                ref = np.array([float(p) for p in parts])
+                ref = np.array([float(p) for p in args.ref.split(",")])
             except ValueError:
-                raise ConfigError("--ref", f"expected two numbers, got {args.ref!r}")
-            if ref.shape != (2,):
-                raise ConfigError("--ref", f"expected two numbers, got {args.ref!r}")
+                ref = np.array([])
+            if ref.shape != (2,) or not np.all(np.isfinite(ref)):
+                raise ConfigError("--ref", f"expected two finite numbers, got {args.ref!r}")
         else:
             ref = default_reference(F)
         value = hypervolume_2d(F, ref)

@@ -204,16 +204,10 @@ def run_linas(
     promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
         fresh = len(_measure_new(store, evaluator, promoted, LINAS_SOURCE, it))
-        if fresh < config.population_size:
-            sample_fresh_into_store(
-                space,
-                evaluator,
-                store,
-                rng,
-                config.population_size - fresh,
-                source=LINAS_SOURCE,
-                iteration=it,
-            )
+        sample_fresh_into_store(
+            space, evaluator, store, rng, config.population_size - fresh,
+            source=LINAS_SOURCE, iteration=it,
+        )
 
         models = _fit_models(store, kinds, seed=config.seed)
         iteration_models.append(models)

@@ -20,13 +20,6 @@ def store_objective_matrix(store: EvaluationStore) -> np.ndarray:
     return oriented_values(store.values_matrix(), store.objectives)
 
 
-def _domination_matrix(F: np.ndarray) -> np.ndarray:
-    """``D[i, j]``: row i strictly dominates row j. O(N^2) memory: m != 2 only."""
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    return le & lt
-
-
 def _ranks_2d(F: np.ndarray) -> np.ndarray:
     """Front rank of every row of an (N, 2) minimization matrix, O(N log N).
 
@@ -45,6 +38,24 @@ def _ranks_2d(F: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _ranks(F: np.ndarray) -> np.ndarray:
+    """Front rank of every row (0 is non-dominated); with m != 2, fronts are
+    peeled off ``dom[i, j]``, row i strictly dominates row j (O(N^2) memory)."""
+    if F.shape[1] == 2:
+        return _ranks_2d(F)
+    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
+    dom = le & np.any(F[:, None, :] < F[None, :, :], axis=2)
+    counts = dom.sum(axis=0).astype(np.int64)
+    ranks = np.full(len(F), -1, dtype=np.int64)
+    r = 0
+    while (ranks < 0).any():
+        members = np.flatnonzero((ranks < 0) & (counts == 0))
+        ranks[members] = r
+        counts -= dom[members].sum(axis=0)
+        r += 1
+    return ranks
+
+
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not strictly dominated by any other row.
 
@@ -55,9 +66,7 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         raise ValueError("need an (N, m) matrix")
     if F.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    if F.shape[1] == 2:
-        return _ranks_2d(F) == 0
-    return ~np.any(_domination_matrix(F), axis=0)
+    return _ranks(F) == 0
 
 
 def pareto_front(values: np.ndarray, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:

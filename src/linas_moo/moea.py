@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import _domination_matrix, _ranks_2d
+from .metrics import _ranks
 from .objective import (
     EvaluationStore,
     Measurement,
@@ -114,22 +114,6 @@ class SearchOutcome:
     population: tuple[Individual, ...]
     front: tuple[Individual, ...]
     generations: int
-
-
-def _ranks(F: np.ndarray) -> np.ndarray:
-    """Front rank of every row (0 is non-dominated); peels fronts when m != 2."""
-    if F.shape[1] == 2:
-        return _ranks_2d(F)
-    dom = _domination_matrix(F)
-    counts = dom.sum(axis=0).astype(np.int64)
-    ranks = np.full(len(F), -1, dtype=np.int64)
-    r = 0
-    while (ranks < 0).any():
-        members = np.flatnonzero((ranks < 0) & (counts == 0))
-        ranks[members] = r
-        counts -= dom[members].sum(axis=0)
-        r += 1
-    return ranks
 
 
 def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
@@ -275,6 +259,28 @@ def _measure_new(
     return store.insert_batch(kept, values[keep], source=source, iteration=iteration)
 
 
+def draw_unseen(space: SearchSpace, rng: np.random.Generator, count: int, seen) -> list[Genotype]:
+    """``count`` distinct uniform draws that are not in ``seen``, in draw order.
+
+    Each round draws as many rows as are still missing and takes them in
+    order, so ``rng`` advances exactly as far as drawing one row at a time.
+
+    Raises:
+        SpaceExhaustedError: after ``_ATTEMPT_CAP`` draws that were seen or repeated.
+    """
+    batch: dict[Genotype, None] = {}
+    misses = 0
+    while len(batch) < count:
+        for g in map(tuple, space.sample_batch(rng, count - len(batch)).tolist()):
+            if g in seen or g in batch:
+                misses += 1
+                if misses >= _ATTEMPT_CAP:
+                    raise SpaceExhaustedError(f"no unseen config found after {misses} samples")
+            else:
+                batch[g] = None
+    return list(batch)
+
+
 def sample_fresh_into_store(
     space: SearchSpace,
     evaluator,
@@ -286,9 +292,9 @@ def sample_fresh_into_store(
 ) -> list[Measurement]:
     """Uniformly sample until ``count`` new distinct configs are measured.
 
-    Each round draws as many distinct unseen configs as are still missing
-    and measures them in one batch. Duplicates of stored configs and
-    evaluator-rejected configs are skipped without consuming budget.
+    Each round measures, in one batch, as many :func:`draw_unseen` configs
+    as are still missing. Duplicates of stored configs and evaluator-rejected
+    configs are skipped without consuming budget.
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
@@ -296,18 +302,8 @@ def sample_fresh_into_store(
     new: list[Measurement] = []
     misses = 0
     while len(new) < count:
-        batch: dict[Genotype, None] = {}
-        while len(batch) < count - len(new):
-            g = space.sample_uniform(rng)
-            if g in store or g in batch:
-                misses += 1
-                if misses >= _ATTEMPT_CAP:
-                    raise SpaceExhaustedError(
-                        f"no unseen config found after {misses} samples"
-                    )
-                continue
-            batch[g] = None
-        measured = _measure_new(store, evaluator, list(batch), source, iteration)
+        batch = draw_unseen(space, rng, count - len(new), store)
+        measured = _measure_new(store, evaluator, batch, source, iteration)
         misses = 0 if measured else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(f"no acceptable config found after {misses} samples")
@@ -399,7 +395,7 @@ def nsga2_core(
     rows: list[Genotype] = []
     attempts = 0
     while len(rows) < pop:
-        draws = [space.sample_uniform(rng) for _ in range(pop - len(rows))]
+        draws = list(map(tuple, space.sample_batch(rng, pop - len(rows)).tolist()))
         budget_left -= measured([g for g in dict.fromkeys(draws) if g not in known], 0)
         kept = [g for g in draws if g in known]
         rows.extend(kept)

@@ -115,10 +115,14 @@ class Measurement:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Measurement":
+        """Inverse of :meth:`to_json_obj`; raises ``ValueError`` on a non-finite value."""
+        values = tuple(float(v) for v in obj["values"])
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"non-finite objective values: {values}")
         return cls(
             eval_index=int(obj["eval_index"]),
             genotype=parse_genotype(obj["genotype"]),
-            values=tuple(float(v) for v in obj["values"]),
+            values=values,
             source=str(obj["source"]),
             iteration=int(obj["iteration"]),
         )

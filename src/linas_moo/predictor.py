@@ -27,6 +27,10 @@ DEFAULT_STACK_FOLDS = 5
 # signal lives in their tiny difference directions, so a unit penalty would
 # drag the weights toward an even split regardless of base quality.
 DEFAULT_META_ALPHA = 1e-6
+DEFAULT_TRAIN_SIZES = tuple(range(100, 1001, 100))
+DEFAULT_TRIALS = 100
+DEFAULT_TEST_SIZE = 500
+DEFAULT_ANALYSIS_SEED = 0
 
 # Floor on the pair curvature K_ii + K_jj - 2 K_ij (LIBSVM's TAU).
 _TAU = 1e-12
@@ -306,23 +310,9 @@ class StackedModel:
     round-robin so every fold is non-empty whenever ``n >= n_folds``.
     """
 
-    def __init__(
-        self,
-        alpha: float = DEFAULT_RIDGE_ALPHA,
-        C: float = DEFAULT_SVR_C,
-        epsilon: float = DEFAULT_SVR_EPSILON,
-        gamma: float | None = None,
-        meta_alpha: float = DEFAULT_META_ALPHA,
-        n_folds: int = DEFAULT_STACK_FOLDS,
-        seed: int = 0,
-    ):
+    def __init__(self, n_folds: int = DEFAULT_STACK_FOLDS, seed: int = 0):
         if n_folds < 2:
             raise ValueError(f"need at least 2 folds, got {n_folds}")
-        self.alpha = alpha
-        self.C = C
-        self.epsilon = epsilon
-        self.gamma = gamma
-        self.meta_alpha = meta_alpha
         self.n_folds = int(n_folds)
         self.seed = int(seed)
         self.base_ridge_: RidgeModel | None = None
@@ -330,12 +320,6 @@ class StackedModel:
         self.meta_: RidgeModel | None = None
         self.fold_assignments_: np.ndarray | None = None
         self.oof_predictions_: np.ndarray | None = None
-
-    def _make_bases(self) -> tuple[RidgeModel, SvrRbfModel]:
-        return (
-            RidgeModel(alpha=self.alpha),
-            SvrRbfModel(C=self.C, epsilon=self.epsilon, gamma=self.gamma),
-        )
 
     def fit(self, X, y) -> "StackedModel":
         X, y = _check_xy(X, y)
@@ -349,15 +333,13 @@ class StackedModel:
         for f in range(self.n_folds):
             test = folds == f
             train = ~test
-            ridge, svr = self._make_bases()
-            ridge.fit(X[train], y[train])
-            svr.fit(X[train], y[train])
+            ridge = RidgeModel().fit(X[train], y[train])
+            svr = SvrRbfModel().fit(X[train], y[train])
             oof[test, 0] = ridge.predict(X[test])
             oof[test, 1] = svr.predict(X[test])
-        self.meta_ = RidgeModel(alpha=self.meta_alpha).fit(oof, y)
-        self.base_ridge_, self.base_svr_ = self._make_bases()
-        self.base_ridge_.fit(X, y)
-        self.base_svr_.fit(X, y)
+        self.meta_ = RidgeModel(alpha=DEFAULT_META_ALPHA).fit(oof, y)
+        self.base_ridge_ = RidgeModel().fit(X, y)
+        self.base_svr_ = SvrRbfModel().fit(X, y)
         self.fold_assignments_ = folds
         self.oof_predictions_ = oof
         return self
@@ -375,14 +357,14 @@ class StackedModel:
 PREDICTOR_KINDS = ("ridge", "svr_rbf", "stacked")
 
 
-def make_predictor(kind: str, seed: int = 0, **params):
-    """Factory over :data:`PREDICTOR_KINDS`; ``seed`` only affects stacking folds."""
+def make_predictor(kind: str, seed: int = 0):
+    """Factory over :data:`PREDICTOR_KINDS`, default parameters; ``seed`` only affects folds."""
     if kind == "ridge":
-        return RidgeModel(**params)
+        return RidgeModel()
     if kind == "svr_rbf":
-        return SvrRbfModel(**params)
+        return SvrRbfModel()
     if kind == "stacked":
-        return StackedModel(seed=seed, **params)
+        return StackedModel(seed=seed)
     raise ValueError(f"unknown predictor kind {kind!r}; known: {PREDICTOR_KINDS}")
 
 
@@ -478,14 +460,47 @@ class PredictorReport:
         return out
 
 
+def check_protocol(
+    train_sizes: Sequence[int], trials: int, test_size: int, kinds: Sequence[str]
+) -> None:
+    """Check the settings of :func:`analyze_predictors` before any fit.
+
+    Raises:
+        ValueError: ``"<argument>: <reason>"`` for the first setting that fails.
+    """
+    if not kinds:
+        raise ValueError("kinds: need at least one predictor kind")
+    for kind in kinds:
+        if kind not in PREDICTOR_KINDS:
+            raise ValueError(f"kinds: unknown predictor kind {kind!r}; known: {PREDICTOR_KINDS}")
+    if not train_sizes or not all(
+        isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+        for s in train_sizes
+    ):
+        raise ValueError("train_sizes: expected a non-empty list of positive integers")
+    if min(train_sizes) < 2:
+        raise ValueError(
+            "train_sizes: a fit on 1 row predicts a constant, so Kendall tau is undefined"
+        )
+    if "stacked" in kinds and min(train_sizes) < DEFAULT_STACK_FOLDS:
+        raise ValueError(
+            f"train_sizes: stacked needs at least {DEFAULT_STACK_FOLDS} training rows, "
+            "one per fold"
+        )
+    if trials < 1:
+        raise ValueError("trials: must be positive")
+    if test_size < 2:
+        raise ValueError("test_size: must be at least 2 (Kendall tau compares pairs)")
+
+
 def analyze_predictors(
     features,
     targets,
-    train_sizes: Sequence[int] = tuple(range(100, 1001, 100)),
-    trials: int = 100,
-    test_size: int = 500,
+    train_sizes: Sequence[int] = DEFAULT_TRAIN_SIZES,
+    trials: int = DEFAULT_TRIALS,
+    test_size: int = DEFAULT_TEST_SIZE,
     kinds: Sequence[str] = PREDICTOR_KINDS,
-    seed: int = 0,
+    seed: int = DEFAULT_ANALYSIS_SEED,
 ) -> PredictorReport:
     """Measure predictor quality as a function of training set size.
 
@@ -502,24 +517,19 @@ def analyze_predictors(
         targets: Dataset target vector ``(N,)``.
 
     Raises:
-        ValueError: if the dataset is smaller than ``max(train_sizes) + test_size``.
+        ValueError: on settings :func:`check_protocol` rejects, or if the
+            dataset is smaller than ``max(train_sizes) + test_size``.
     """
+    sizes, kinds = tuple(train_sizes), tuple(kinds)
+    check_protocol(sizes, trials, test_size, kinds)
     X, z = _check_xy(features, targets)
-    sizes = tuple(int(s) for s in train_sizes)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("train_sizes must be positive")
-    if trials < 1 or test_size < 1:
-        raise ValueError("trials and test_size must be positive")
+    sizes = tuple(int(s) for s in sizes)
     needed = max(sizes) + test_size
     if X.shape[0] < needed:
         raise ValueError(
             f"dataset has {X.shape[0]} examples but needs {needed} "
             f"(max train size {max(sizes)} + test size {test_size})"
         )
-    kinds = tuple(kinds)
-    for kind in kinds:
-        if kind not in PREDICTOR_KINDS:
-            raise ValueError(f"unknown predictor kind {kind!r}")
 
     # Stacking refits its default ridge and SVR bases on the full train set;
     # a standalone ridge or svr_rbf cell reuses that fit instead of fitting

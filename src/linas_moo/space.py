@@ -228,14 +228,20 @@ class SearchSpace:
     def is_canonical(self, genotype: Genotype) -> bool:
         return self.canonicalize(genotype) == tuple(genotype)
 
-    def sample_uniform(self, rng: np.random.Generator) -> Genotype:
-        """Draw each variable index independently and uniformly, then canonicalize.
+    def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``(count, n)`` canonical genotypes, each variable index drawn uniformly.
 
-        The distribution is uniform over the raw index grid; the canonical
-        representative of the sampled configuration is returned.
+        The distribution is uniform over the raw index grid; each row is the
+        canonical representative of its draw. One array-bounded ``integers``
+        call yields the same values, and leaves ``rng`` in the same state, as
+        one scalar call per variable, row by row.
         """
-        raw = tuple(int(rng.integers(0, len(v.options))) for v in self.variables)
-        return self.canonicalize(raw)
+        raw = rng.integers(0, self.option_counts, size=(count, self.n_variables))
+        return self.canonicalize_batch(raw)
+
+    def sample_uniform(self, rng: np.random.Generator) -> Genotype:
+        """One-row view of :meth:`sample_batch`."""
+        return tuple(self.sample_batch(rng, 1)[0].tolist())
 
     def active_mask_batch(self, genotypes: np.ndarray) -> np.ndarray:
         """Per-variable activity of a ``(B, n)`` int array under its controller choices.

@@ -639,6 +639,12 @@ class TestParetoCommand:
         assert main(["pareto", "-i", str(p)]) == 2
         assert f"{p}:1" in capsys.readouterr().err
 
+    def test_nan_value_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.jsonl"
+        write_jsonl(p, [(1.0, 1.0), (math.nan, 0.5)])
+        assert main(["pareto", "-i", str(p)]) == 2
+        assert f"input: {p}:2: non-finite objective values" in capsys.readouterr().err
+
     def test_bad_directions_exit_2(self, tmp_path, capsys):
         p = tmp_path / "one.jsonl"
         write_jsonl(p, [(1.0, 2.0)])
@@ -684,8 +690,15 @@ class TestHypervolumeCommand:
         assert "--ref" in capsys.readouterr().err
 
     def test_bad_ref_exit_2(self, tmp_path, capsys):
-        assert main(["hypervolume", "-i", self.fixture(tmp_path), "--ref", "a,b"]) == 2
-        assert "--ref" in capsys.readouterr().err
+        for ref in ("a,b", "nan,5", "4,inf"):
+            assert main(["hypervolume", "-i", self.fixture(tmp_path), "--ref", ref]) == 2
+            assert "--ref: expected two finite numbers" in capsys.readouterr().err
+
+    def test_infinite_value_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "inf.jsonl"
+        write_jsonl(p, [(1.0, 3.0), (2.0, math.inf)])
+        assert main(["hypervolume", "-i", str(p)]) == 2
+        assert f"input: {p}:2: non-finite objective values" in capsys.readouterr().err
 
     def test_three_objectives_rejected(self, tmp_path, capsys):
         p = tmp_path / "three.jsonl"

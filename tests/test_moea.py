@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hard_objective_matrices
+from conftest import (
+    enumerate_canonicals, hard_objective_matrices, make_free_space, make_masked_space,
+)
+from linas_moo import moea
 from linas_moo.moea import (
     EaConfig,
     Individual,
     SpaceExhaustedError,
     crossover_two_point,
     crowding_distance,
+    draw_unseen,
     environmental_selection,
     fast_nondominated_sort,
     mutate,
@@ -515,6 +519,42 @@ class TestSampleFreshIntoStore:
             sample_fresh_into_store(
                 free_space, evaluator, store, rng, 1, source="random"
             )
+
+
+def draw_unseen_reference(space, rng, count, seen):
+    """Distinct unseen draws taken one row at a time."""
+    out = []
+    while len(out) < count:
+        g = space.sample_uniform(rng)
+        if g not in seen and g not in out:
+            out.append(g)
+    return out
+
+
+class TestDrawUnseen:
+    @pytest.mark.parametrize(
+        "space", [make_free_space(), make_masked_space(), builtin_space("ncf")],
+        ids=lambda s: s.name,
+    )
+    def test_matches_one_row_at_a_time(self, space):
+        for seed in range(3):
+            # Seen: half the toy space, or the first draws of this very stream,
+            # so both misses on ``seen`` and repeats within the batch occur.
+            if space.name == "ncf":
+                seen = set(draw_unseen_reference(space, search_rng(seed), 30, ()))
+                count = 40
+            else:
+                seen = set(sorted(enumerate_canonicals(space))[::2])
+                count = 10
+            rng, ref_rng = search_rng(seed), search_rng(seed)
+            got = draw_unseen(space, rng, count, seen)
+            assert got == draw_unseen_reference(space, ref_rng, count, seen)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_raises_when_every_draw_is_seen(self, free_space, monkeypatch):
+        monkeypatch.setattr(moea, "_ATTEMPT_CAP", 50)
+        with pytest.raises(SpaceExhaustedError, match="after 50 samples"):
+            draw_unseen(free_space, search_rng(0), 2, enumerate_canonicals(free_space))
 
 
 class TestNsga2:

@@ -408,8 +408,8 @@ class TestStacked:
         for f in range(4):
             test = folds == f
             train = ~test
-            ridge = RidgeModel(alpha=model.alpha).fit(X[train], y[train])
-            svr = SvrRbfModel(C=model.C, epsilon=model.epsilon).fit(X[train], y[train])
+            ridge = RidgeModel().fit(X[train], y[train])
+            svr = SvrRbfModel().fit(X[train], y[train])
             assert np.array_equal(model.oof_predictions_[test, 0], ridge.predict(X[test]))
             assert np.array_equal(model.oof_predictions_[test, 1], svr.predict(X[test]))
 
@@ -537,6 +537,29 @@ class TestAnalyzeProtocol:
         assert all(set(r) == {
             "train_size", "kind", "mape_mean", "mape_stderr", "tau_mean", "tau_stderr"
         } for r in rows)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(train_sizes=(40, 80, 3), kinds=("stacked",)), "stacked needs at least 5"),
+            (dict(train_sizes=(40,), test_size=1), "test_size: must be at least 2"),
+        ],
+    )
+    def test_bad_settings_raise_before_any_fit(self, monkeypatch, settings, message):
+        fits = []
+        real_fit = SvrRbfModel.fit
+
+        def counted_fit(model, X, y):
+            fits.append(len(y))
+            return real_fit(model, X, y)
+
+        monkeypatch.setattr(SvrRbfModel, "fit", counted_fit)
+        X, y = self.dataset(n=200)
+        with pytest.raises(ValueError, match=message):
+            analyze_predictors(X, y, **(dict(trials=2, test_size=40) | settings))
+        assert fits == []
+        analyze_predictors(X, y, train_sizes=(40,), trials=1, test_size=40, kinds=("svr_rbf",))
+        assert fits == [40]
 
     def test_unknown_kind_rejected(self):
         X, y = self.dataset()

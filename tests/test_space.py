@@ -210,7 +210,37 @@ class TestCardinality:
         assert space.cardinality() == 2
 
 
+def reference_draw(space, rng):
+    """One scalar ``integers`` call per variable, then canonicalize."""
+    raw = tuple(int(rng.integers(0, len(v.options))) for v in space.variables)
+    return space.canonicalize(raw)
+
+
+SAMPLED_SPACES = [builtin_space(name) for name in BUILTIN_SPACES] + [
+    make_masked_space(),
+    make_free_space(),
+]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("space", SAMPLED_SPACES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sample_batch_matches_per_variable_draws(self, space, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (1, 5, 64, 0):
+            G = space.sample_batch(rng, k)
+            assert G.dtype == np.int64 and G.shape == (k, space.n_variables)
+            want = [reference_draw(space, ref_rng) for _ in range(k)]
+            assert list(map(tuple, G.tolist())) == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("space", SAMPLED_SPACES, ids=lambda s: s.name)
+    def test_sample_uniform_is_one_row_of_sample_batch(self, space):
+        rng, batch_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            assert space.sample_uniform(rng) == tuple(space.sample_batch(batch_rng, 1)[0].tolist())
+        assert rng.bit_generator.state == batch_rng.bit_generator.state
+
     def test_samples_are_canonical_and_valid(self, masked_space):
         rng = np.random.default_rng(5)
         for _ in range(500):
