@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .linas import LinasConfig, run_linas
 from .metrics import (
-    default_reference, hv_trace, hypervolume_2d, nondominated_mask, normalized_hypervolume,
+    default_reference, hv_trace, hypervolume_2d, normalized_hypervolume, pareto_front,
     union_bounds,
 )
 from .moea import (
@@ -54,7 +54,7 @@ from .predictor import (
     check_protocol,
     featurize_batch,
 )
-from .space import BUILTIN_SPACES, SearchSpace, builtin_space
+from .space import BUILTIN_SPACES, SearchSpace, builtin_space, format_genotype
 
 
 class ConfigError(Exception):
@@ -558,7 +558,7 @@ def _cmd_predictor_analysis(args) -> int:
             f"space {space.name!r} holds {space.cardinality()} distinct configs; "
             f"the protocol needs {needed}"
         )
-    genotypes = draw_unseen(space, search_rng(seed), needed, ())
+    genotypes, _ = draw_unseen(space, search_rng(seed), needed, ())
     X = featurize_batch(space, genotypes)
     Y = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
     rejected = int(np.isnan(Y).all(axis=1).sum())
@@ -615,18 +615,17 @@ def _cmd_pareto(args) -> int:
     records = _read_measurements(args.input)
     m = len(records[0].values)
     objectives = _parse_directions(args.directions, m)
-    values = np.array([r.values for r in records])
-    mask = nondominated_mask(oriented_values(values, objectives))
+    front = pareto_front(np.array([r.values for r in records]), objectives)
     header = (
         ["eval_index", "genotype"]
         + [f"value_{j + 1}" for j in range(m)]
         + ["source", "iteration"]
     )
     rows = [
-        [r.eval_index, "-".join(str(v) for v in r.genotype)]
+        [r.eval_index, format_genotype(r.genotype)]
         + [repr(v) for v in r.values]
         + [r.source, r.iteration]
-        for r, keep in zip(records, mask) if keep
+        for r in (records[i] for i in front)
     ]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -15,10 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import pareto_front
 from .moea import (
     EaConfig,
-    Individual,
     SpaceExhaustedError,
     _evaluate,
     _measure_new,
@@ -116,14 +114,10 @@ class LinasConfig:
 class LinasOutcome:
     """What a predictor-guided run produced.
 
-    ``front`` holds the non-dominated measured configurations;
-    ``iteration_models`` the fitted predictors per outer iteration;
-    ``inner_outcome`` the last inner population: genotypes, predicted raw values.
+    ``inner_outcome`` is the last inner population: genotypes, predicted raw values.
     """
 
     store: EvaluationStore
-    front: tuple[Individual, ...]
-    iteration_models: tuple[tuple, ...]
     inner_outcome: tuple[np.ndarray, np.ndarray]
 
 
@@ -200,7 +194,6 @@ def run_linas(
     store = EvaluationStore(space, objectives)
     rng = search_rng(config.seed)
 
-    iteration_models: list[tuple] = []
     promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
         fresh = len(_measure_new(store, evaluator, promoted, LINAS_SOURCE, it))
@@ -209,9 +202,7 @@ def run_linas(
             source=LINAS_SOURCE, iteration=it,
         )
 
-        models = _fit_models(store, kinds, seed=config.seed)
-        iteration_models.append(models)
-        surrogate = PredictorEvaluator(space, models)
+        surrogate = PredictorEvaluator(space, _fit_models(store, kinds, seed=config.seed))
         inner_cfg = EaConfig(
             population_size=config.population_size,
             max_evaluations=config.inner_evaluations,
@@ -223,15 +214,4 @@ def run_linas(
         inner_G, inner_F, _ = nsga2_core(space, surrogate.measure, objectives, inner_cfg, {})
         promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
 
-    F = store.values_matrix()
-    front_idx = pareto_front(F, objectives)
-    records = list(store)
-    front = tuple(
-        Individual.from_measurement(records[i], objectives) for i in front_idx
-    )
-    return LinasOutcome(
-        store=store,
-        front=front,
-        iteration_models=tuple(iteration_models),
-        inner_outcome=(inner_G, oriented_values(inner_F, objectives)),
-    )
+    return LinasOutcome(store, (inner_G, oriented_values(inner_F, objectives)))

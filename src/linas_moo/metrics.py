@@ -87,28 +87,41 @@ def default_reference(points: np.ndarray) -> np.ndarray:
     return worst + 0.01 * (worst - F.min(axis=0))
 
 
-def hypervolume_2d(points: np.ndarray, reference) -> float:
-    """Exact area dominated by ``points`` inside the reference box.
-
-    Points are minimization vectors; any point with a coordinate at or
-    beyond the reference is clipped away. The non-dominated staircase is
-    swept left to right: each step adds ``(ref_x - x) * (y_prev - y)``.
-    """
+def _checked(points, reference) -> tuple[np.ndarray, np.ndarray]:
     F = np.asarray(points, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != 2 or ref.shape != (2,):
         raise ValueError("hypervolume_2d handles exactly two objectives")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(ref))):
         raise ValueError("points and reference must be finite")
+    return F, ref
+
+
+def _staircase(F: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The distinct non-dominated rows of ``F`` strictly inside the reference box.
+
+    After one sort on (x, y), a row is kept iff its y lies below the y of
+    every row before it, so x ascends and y strictly descends.
+    """
     F = F[np.all(F < ref, axis=1)]
-    if F.shape[0] == 0:
-        return 0.0
-    F = np.unique(F[nondominated_mask(F)], axis=0)
-    # Unique rows of a 2-D front sort by ascending x with strictly
-    # descending y, giving the staircase directly.
-    x, y = F[:, 0], F[:, 1]
-    y_prev = np.concatenate([[ref[1]], y[:-1]])
-    return float(np.sum((ref[0] - x) * (y_prev - y)))
+    F = F[np.lexsort((F[:, 1], F[:, 0]))]
+    return F[F[:, 1] < np.minimum.accumulate(np.concatenate([[np.inf], F[:, 1]]))[:-1]]
+
+
+def _staircase_area(S: np.ndarray, ref: np.ndarray) -> float:
+    """Area between a staircase and the reference: step i adds ``(ref_x - x) * (y_prev - y)``."""
+    y_prev = np.concatenate([[ref[1]], S[:-1, 1]])
+    return float(np.sum((ref[0] - S[:, 0]) * (y_prev - S[:, 1])))
+
+
+def hypervolume_2d(points: np.ndarray, reference) -> float:
+    """Exact area dominated by ``points`` inside the reference box.
+
+    Points are minimization vectors; any point with a coordinate at or
+    beyond the reference is clipped away before the staircase is built.
+    """
+    F, ref = _checked(points, reference)
+    return _staircase_area(_staircase(F, ref), ref)
 
 
 @dataclass(frozen=True)
@@ -120,29 +133,24 @@ class HypervolumeTrace:
     reference: tuple[float, ...]
 
 
-def hv_trace(
-    store: EvaluationStore,
-    reference=None,
-    stride: int = 10,
-) -> HypervolumeTrace:
+def hv_trace(store: EvaluationStore, reference=None, stride: int = 10) -> HypervolumeTrace:
     """Hypervolume after every ``stride`` measurements, plus the final count.
 
     The reference defaults to :func:`default_reference` over the whole
-    store, so the trace is non-decreasing. Fronts carry from prefix to prefix.
+    store, so the trace is non-decreasing. The staircase carries from prefix
+    to prefix, so each row is sorted in only while it is on the front.
     """
     if stride < 1:
         raise ValueError("stride must be positive")
     if len(store) == 0:
         raise ValueError("store is empty")
     F = store_objective_matrix(store)
-    ref = default_reference(F) if reference is None else np.asarray(reference, dtype=np.float64)
+    F, ref = _checked(F, default_reference(F) if reference is None else reference)
     counts = list(range(stride, len(F), stride)) + [len(F)]
-    keep = np.all(F < ref, axis=1)
-    hvs, front = [], F[:0]
+    hvs, S = [], F[:0]
     for start, k in zip([0] + counts, counts):
-        pool = np.concatenate([front, F[start:k][keep[start:k]]])
-        front = pool[nondominated_mask(pool)]
-        hvs.append(hypervolume_2d(front, ref))
+        S = _staircase(np.concatenate([S, F[start:k]]), ref)
+        hvs.append(_staircase_area(S, ref))
     return HypervolumeTrace(tuple(counts), tuple(hvs), tuple(float(r) for r in ref))
 
 

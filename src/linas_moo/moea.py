@@ -50,22 +50,6 @@ def search_rng(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Individual:
-    """A genotype with its measured raw values and minimized objectives."""
-
-    genotype: Genotype
-    values: tuple[float, ...]
-    objectives: tuple[float, ...]
-
-    @classmethod
-    def from_measurement(
-        cls, m: Measurement, objectives: Sequence[ObjectiveSpec]
-    ) -> "Individual":
-        oriented = oriented_values(m.values, objectives)
-        return cls(m.genotype, m.values, tuple(float(v) for v in oriented))
-
-
-@dataclass(frozen=True)
 class EaConfig:
     """NSGA-II settings.
 
@@ -107,12 +91,11 @@ class SearchOutcome:
     """What a search run produced.
 
     ``population`` is the final population (NSGA-II) or every measured
-    sample (random search); ``front`` is its rank-0 subset.
+    sample (random search) as two arrays: genotypes and raw values.
     """
 
     store: EvaluationStore
-    population: tuple[Individual, ...]
-    front: tuple[Individual, ...]
+    population: tuple[np.ndarray, np.ndarray]
     generations: int
 
 
@@ -259,17 +242,19 @@ def _measure_new(
     return store.insert_batch(kept, values[keep], source=source, iteration=iteration)
 
 
-def draw_unseen(space: SearchSpace, rng: np.random.Generator, count: int, seen) -> list[Genotype]:
+def draw_unseen(
+    space: SearchSpace, rng: np.random.Generator, count: int, seen, misses: int = 0
+) -> tuple[list[Genotype], int]:
     """``count`` distinct uniform draws that are not in ``seen``, in draw order.
 
     Each round draws as many rows as are still missing and takes them in
     order, so ``rng`` advances exactly as far as drawing one row at a time.
+    Returns the rows and ``misses`` plus the draws that were seen or repeated.
 
     Raises:
-        SpaceExhaustedError: after ``_ATTEMPT_CAP`` draws that were seen or repeated.
+        SpaceExhaustedError: once the miss count reaches ``_ATTEMPT_CAP``.
     """
     batch: dict[Genotype, None] = {}
-    misses = 0
     while len(batch) < count:
         for g in map(tuple, space.sample_batch(rng, count - len(batch)).tolist()):
             if g in seen or g in batch:
@@ -278,7 +263,7 @@ def draw_unseen(space: SearchSpace, rng: np.random.Generator, count: int, seen) 
                     raise SpaceExhaustedError(f"no unseen config found after {misses} samples")
             else:
                 batch[g] = None
-    return list(batch)
+    return list(batch), misses
 
 
 def sample_fresh_into_store(
@@ -294,7 +279,8 @@ def sample_fresh_into_store(
 
     Each round measures, in one batch, as many :func:`draw_unseen` configs
     as are still missing. Duplicates of stored configs and evaluator-rejected
-    configs are skipped without consuming budget.
+    configs are skipped without consuming budget; both count against one
+    ``_ATTEMPT_CAP``, which resets whenever the store grows.
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
@@ -302,7 +288,7 @@ def sample_fresh_into_store(
     new: list[Measurement] = []
     misses = 0
     while len(new) < count:
-        batch = draw_unseen(space, rng, count - len(new), store)
+        batch, misses = draw_unseen(space, rng, count - len(new), store, misses)
         measured = _measure_new(store, evaluator, batch, source, iteration)
         misses = 0 if measured else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
@@ -321,7 +307,7 @@ def run_random(
     """Uniform random search with canonical deduplication.
 
     Samples until ``budget`` distinct configs are measured; the returned
-    population is every measured sample, the front its rank-0 subset.
+    population is every measured sample.
 
     Raises:
         SpaceExhaustedError: if the space holds fewer configs than ``budget``.
@@ -335,10 +321,9 @@ def run_random(
         )
     store = EvaluationStore(space, objectives)
     rng = search_rng(seed)
-    measured = sample_fresh_into_store(
-        space, evaluator, store, rng, budget, source="random", iteration=0
-    )
-    return _outcome(store, measured, objectives, 0)
+    sample_fresh_into_store(space, evaluator, store, rng, budget, source="random", iteration=0)
+    G = np.array([m.genotype for m in store], dtype=np.int64)
+    return SearchOutcome(store, (G, store.values_matrix()), 0)
 
 
 def environmental_selection(
@@ -447,12 +432,6 @@ def nsga2_core(
     return G, F, generations
 
 
-def _outcome(store: EvaluationStore, rows, objectives, generations: int) -> SearchOutcome:
-    population = tuple(Individual.from_measurement(m, objectives) for m in rows)
-    front = fast_nondominated_sort(np.array([ind.objectives for ind in population]))[0]
-    return SearchOutcome(store, population, tuple(population[i] for i in front), generations)
-
-
 def run_nsga2(
     space: SearchSpace,
     evaluator,
@@ -466,5 +445,5 @@ def run_nsga2(
         new = _measure_new(store, evaluator, genotypes, "nsga2", generation)
         return {m.genotype: m.values for m in new}
 
-    G, _, generations = nsga2_core(space, measure, objectives, config, {})
-    return _outcome(store, [store.get(g) for g in map(tuple, G.tolist())], objectives, generations)
+    G, F, generations = nsga2_core(space, measure, objectives, config, {})
+    return SearchOutcome(store, (G, oriented_values(F, objectives)), generations)

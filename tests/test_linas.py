@@ -9,9 +9,11 @@ from linas_moo.linas import (
     LinasConfig,
     LinasOutcome,
     PredictorEvaluator,
+    _fit_models,
     run_linas,
     select_best_unique,
 )
+from linas_moo.metrics import pareto_front
 from linas_moo.moea import EaConfig, SpaceExhaustedError, nsga2_core, run_nsga2, run_random
 from linas_moo.objective import (
     MAXIMIZE,
@@ -21,6 +23,7 @@ from linas_moo.objective import (
     StoreContractError,
     SyntheticLandscape,
     TabularEvaluator,
+    oriented_values,
 )
 from linas_moo.predictor import RidgeModel, featurize_batch
 from linas_moo.space import MalformedGenotypeError, builtin_space
@@ -180,8 +183,9 @@ class TestInnerMeasure:
         known = {}
         G, F, generations = nsga2_core(space, surrogate.measure, ACC_LAT, cfg, known)
         assert generations == out.generations == 60
-        assert G.tolist() == [list(ind.genotype) for ind in out.population]
-        assert F.tobytes() == np.array([ind.objectives for ind in out.population]).tobytes()
+        out_G, out_V = out.population
+        assert G.tobytes() == out_G.tobytes()
+        assert F.tobytes() == oriented_values(out_V, ACC_LAT).tobytes()
         assert list(known.items()) == [(m.genotype, m.values) for m in out.store]
 
 
@@ -267,16 +271,22 @@ class TestRunLinas:
             assert (mr.source, mr.iteration) == ("random", 0)
             assert (ml.source, ml.iteration) == ("linas", 1)
 
-    def test_models_fitted_per_iteration_per_objective(self):
+    def test_models_fitted_per_iteration_per_objective(self, monkeypatch):
+        fitted = []
+        fit = RidgeModel.fit
+
+        def recording_fit(model, X, y):
+            fitted.append(model)
+            return fit(model, X, y)
+
+        monkeypatch.setattr(RidgeModel, "fit", recording_fit)
         space, land = small_problem()
         cfg = quick_config(predictor_kinds=("ridge", "ridge"))
         out = run_linas(space, land, ACC_LAT, cfg)
-        assert len(out.iteration_models) == 3
+        assert len(fitted) == 3 * 2
         probe = featurize_batch(space, [m.genotype for m in out.store][:5])
-        for models in out.iteration_models:
-            assert len(models) == 2
-            for model in models:
-                assert model.predict(probe).shape == (5,)
+        for model in fitted:
+            assert model.predict(probe).shape == (5,)
 
     def test_inner_search_runs_without_a_store(self):
         space, land = small_problem()
@@ -286,16 +296,17 @@ class TestRunLinas:
         assert all(m.source == "linas" for m in out.store)
         assert G.shape == (10, space.n_variables)
         assert np.array_equal(space.canonicalize_batch(G), G)
-        surrogate = PredictorEvaluator(space, out.iteration_models[-1])
+        # The last models were fitted on the final store; refitting reproduces them.
+        surrogate = PredictorEvaluator(space, _fit_models(out.store, ("ridge", "ridge"), seed=0))
         assert np.allclose(V, surrogate.evaluate_batch(G), rtol=1e-9)
 
     def test_front_is_nondominated_subset_of_store(self):
         space, land = small_problem()
         out = run_linas(space, land, ACC_LAT, quick_config(seed=2))
-        assert out.front
-        front_set = {ind.genotype for ind in out.front}
-        assert front_set <= {m.genotype for m in out.store}
-        for ind in out.front:
+        records = list(out.store)
+        front = [records[i] for i in pareto_front(out.store.values_matrix(), ACC_LAT)]
+        assert front
+        for ind in front:
             for m in out.store:
                 better_acc = m.values[0] > ind.values[0]
                 better_lat = m.values[1] < ind.values[1]

@@ -11,7 +11,6 @@ from conftest import (
 from linas_moo import moea
 from linas_moo.moea import (
     EaConfig,
-    Individual,
     SpaceExhaustedError,
     crossover_two_point,
     crowding_distance,
@@ -26,6 +25,7 @@ from linas_moo.moea import (
     search_rng,
     tournament_winners,
 )
+from linas_moo.metrics import pareto_front
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -34,8 +34,9 @@ from linas_moo.objective import (
     StoreContractError,
     SyntheticLandscape,
     TabularEvaluator,
+    oriented_values,
 )
-from linas_moo.space import builtin_space
+from linas_moo.space import SearchSpace, builtin_space
 
 
 def dominates_oracle(a, b):
@@ -58,6 +59,12 @@ def fronts_oracle(F):
         fronts.append(front)
         unassigned -= front
     return fronts
+
+
+def front_genotypes(out, objectives):
+    """Genotypes of the non-dominated rows of a search's population."""
+    G, V = out.population
+    return {tuple(g) for g in G[pareto_front(V, objectives)].tolist()}
 
 
 ACC_LAT = (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZE))
@@ -433,7 +440,9 @@ class TestRandomSearch:
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
         out = run_random(free_space, evaluator, ACC_LAT, budget=10, seed=0)
         assert len(out.store) == 10
-        assert len(out.population) == 10
+        G, V = out.population
+        assert G.tolist() == [list(m.genotype) for m in out.store]
+        assert V.tobytes() == out.store.values_matrix().tobytes()
         assert [m.eval_index for m in out.store] == list(range(1, 11))
         assert all(m.source == "random" for m in out.store)
         assert all(m.iteration == 0 for m in out.store)
@@ -463,10 +472,9 @@ class TestRandomSearch:
     def test_front_matches_oracle(self, free_space):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0] - g[1])))
         out = run_random(free_space, evaluator, ACC_LAT, budget=20, seed=7)
-        F = np.array([ind.objectives for ind in out.population])
-        expected = fronts_oracle(F)[0]
-        got = {out.population.index(ind) for ind in out.front}
-        assert got == expected
+        _, V = out.population
+        expected = fronts_oracle(oriented_values(V, ACC_LAT))[0]
+        assert set(pareto_front(V, ACC_LAT).tolist()) == expected
 
     def test_optimum_hit_rate_matches_sampling_without_replacement(self, free_space):
         # 24 configs, budget 6: the best config appears in exactly 6/24 of
@@ -490,9 +498,11 @@ class TestRandomSearch:
     def test_oriented_objectives_negate_maximized_values(self, free_space):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
         out = run_random(free_space, evaluator, ACC_LAT, budget=5, seed=0)
-        for ind in out.population:
-            assert ind.objectives[0] == -ind.values[0]
-            assert ind.objectives[1] == ind.values[1]
+        G, V = out.population
+        assert V.tolist() == [list(evaluator.fn(g)) for g in map(tuple, G.tolist())]
+        F = oriented_values(V, ACC_LAT)
+        assert F[:, 0].tolist() == (-V[:, 0]).tolist()
+        assert F[:, 1].tolist() == V[:, 1].tolist()
 
 
 class TestSampleFreshIntoStore:
@@ -522,13 +532,15 @@ class TestSampleFreshIntoStore:
 
 
 def draw_unseen_reference(space, rng, count, seen):
-    """Distinct unseen draws taken one row at a time."""
-    out = []
+    """Distinct unseen draws taken one row at a time, and the count of other draws."""
+    out, misses = [], 0
     while len(out) < count:
         g = space.sample_uniform(rng)
         if g not in seen and g not in out:
             out.append(g)
-    return out
+        else:
+            misses += 1
+    return out, misses
 
 
 class TestDrawUnseen:
@@ -541,7 +553,7 @@ class TestDrawUnseen:
             # Seen: half the toy space, or the first draws of this very stream,
             # so both misses on ``seen`` and repeats within the batch occur.
             if space.name == "ncf":
-                seen = set(draw_unseen_reference(space, search_rng(seed), 30, ()))
+                seen = set(draw_unseen_reference(space, search_rng(seed), 30, ())[0])
                 count = 40
             else:
                 seen = set(sorted(enumerate_canonicals(space))[::2])
@@ -549,6 +561,7 @@ class TestDrawUnseen:
             rng, ref_rng = search_rng(seed), search_rng(seed)
             got = draw_unseen(space, rng, count, seen)
             assert got == draw_unseen_reference(space, ref_rng, count, seen)
+
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_raises_when_every_draw_is_seen(self, free_space, monkeypatch):
@@ -568,7 +581,8 @@ class TestNsga2:
         out = run_nsga2(space, land, ACC_LAT, cfg)
         assert out.generations == 0
         assert len(out.store) == 12
-        assert len(out.population) == 12
+        G, V = out.population
+        assert G.shape == (12, space.n_variables) and V.shape == (12, 2)
 
     def test_store_growth_hits_budget_exactly(self):
         space, land = self.landscape()
@@ -596,7 +610,7 @@ class TestNsga2:
         a.store.to_jsonl(pa)
         b.store.to_jsonl(pb)
         assert pa.read_bytes() == pb.read_bytes()
-        assert {i.genotype for i in a.front} == {i.genotype for i in b.front}
+        assert front_genotypes(a, ACC_LAT) == front_genotypes(b, ACC_LAT)
         c = run_nsga2(space, land, ACC_LAT, EaConfig(
             population_size=10, max_evaluations=40, seed=6
         ))
@@ -615,20 +629,20 @@ class TestNsga2:
         space, land = self.landscape()
         cfg = EaConfig(population_size=16, max_evaluations=80, seed=3)
         out = run_nsga2(space, land, ACC_LAT, cfg)
-        F = np.array([i.objectives for i in out.population])
-        expected = fronts_oracle(F)[0]
-        got = {i for i, ind in enumerate(out.population) if ind in out.front}
-        assert got == expected
+        _, V = out.population
+        expected = fronts_oracle(oriented_values(V, ACC_LAT))[0]
+        assert set(pareto_front(V, ACC_LAT).tolist()) == expected
 
     def test_population_genotypes_all_measured(self):
         space, land = self.landscape()
         out = run_nsga2(space, land, ACC_LAT, EaConfig(
             population_size=8, max_evaluations=30, seed=4
         ))
-        for ind in out.population:
-            m = out.store.get(ind.genotype)
+        G, V = out.population
+        for g, values in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
+            m = out.store.get(g)
             assert m is not None
-            assert ind.values == m.values
+            assert values == m.values
 
     def test_small_space_terminates_via_stall_guard(self, masked_space):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
@@ -668,7 +682,7 @@ class TestNsga2:
         a = run_nsga2(space, land, ACC_LAT, cfg)
         b = run_nsga2(space, negated, both_min, cfg)
         assert [m.genotype for m in a.store] == [m.genotype for m in b.store]
-        assert {i.genotype for i in a.front} == {i.genotype for i in b.front}
+        assert front_genotypes(a, ACC_LAT) == front_genotypes(b, both_min)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -683,14 +697,6 @@ class TestNsga2:
             EaConfig(max_generations=-1)
         with pytest.raises(ValueError):
             EaConfig(stall_generations=0)
-
-    def test_individual_from_measurement_orients_values(self):
-        space, land = self.landscape()
-        store = EvaluationStore(space, ACC_LAT)
-        g = space.sample_uniform(search_rng(0))
-        (m,) = store.insert_batch([g], land.evaluate_batch([g]), source="random")
-        ind = Individual.from_measurement(m, ACC_LAT)
-        assert ind.objectives == (-m.values[0], m.values[1])
 
 
 def reject_first_option(g):
@@ -711,7 +717,7 @@ class TestRejectedRows:
         out = run_nsga2(free_space, FunctionEvaluator(reject_first_option), ACC_LAT, cfg)
         assert len(out.store) == 12
         assert all(m.genotype[0] != 0 for m in out.store)
-        assert all(ind.genotype[0] != 0 for ind in out.population)
+        assert (out.population[0][:, 0] != 0).all()
 
     def test_sample_fresh_counts_only_accepted_rows(self, free_space):
         store = EvaluationStore(free_space, ACC_LAT)
@@ -720,6 +726,33 @@ class TestRejectedRows:
         assert len(new) == len(store) == 18
         with pytest.raises(SpaceExhaustedError):
             sample_fresh_into_store(free_space, evaluator, store, search_rng(1), 1, "t")
+
+    def test_store_hits_and_rejections_share_one_cap(self, free_space, monkeypatch):
+        # The 18 accepted configs are stored; the 6 unseen ones are all
+        # rejected. Every later draw is a store hit or a rejection, so about
+        # _ATTEMPT_CAP rows are drawn before the search gives up.
+        store = EvaluationStore(free_space, ACC_LAT)
+        evaluator = FunctionEvaluator(reject_first_option)
+        sample_fresh_into_store(free_space, evaluator, store, search_rng(0), 18, "t")
+        drawn, measured = [], []
+        sample_batch = SearchSpace.sample_batch
+
+        def counting_sample_batch(space, rng, count):
+            drawn.append(count)
+            return sample_batch(space, rng, count)
+
+        class CountingEvaluator:
+            def evaluate_batch(self, genotypes):
+                measured.append(len(genotypes))
+                return evaluator.evaluate_batch(genotypes)
+
+        monkeypatch.setattr(moea, "_ATTEMPT_CAP", 50)
+        monkeypatch.setattr(SearchSpace, "sample_batch", counting_sample_batch)
+        with pytest.raises(SpaceExhaustedError, match="after 5[0-2] samples"):
+            sample_fresh_into_store(free_space, CountingEvaluator(), store, search_rng(1), 3, "t")
+        assert len(store) == 18
+        assert sum(drawn) <= 50 + 3
+        assert 0 < sum(measured) <= 50
 
     def test_partly_non_finite_row_raises(self, free_space):
         evaluator = FunctionEvaluator(lambda g: (math.nan, 1.0))
