@@ -10,7 +10,6 @@ measurements therefore total ``population_size * iterations``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +17,15 @@ import numpy as np
 from .moea import (
     EaConfig,
     SpaceExhaustedError,
-    _evaluate,
     _measure_new,
     nsga2_core,
     rank_and_crowd,
     sample_fresh_into_store,
     search_rng,
 )
-from .objective import EvaluationStore, ObjectiveSpec, _check_rows, oriented_values
+from .objective import (
+    EvaluationStore, ObjectiveSpec, _check_genotypes, _check_values, oriented_values,
+)
 from .predictor import PREDICTOR_KINDS, featurize_batch, make_predictor
 from .space import Genotype, SearchSpace
 
@@ -44,16 +44,19 @@ class PredictorEvaluator:
     space: SearchSpace
     models: tuple
 
-    def evaluate_batch(self, genotypes) -> np.ndarray:
-        X = featurize_batch(self.space, genotypes)
+    def _predict(self, X: np.ndarray) -> np.ndarray:
         return np.column_stack([m.predict(X) for m in self.models])
 
+    def evaluate_batch(self, genotypes) -> np.ndarray:
+        return self._predict(featurize_batch(self.space, genotypes))
+
     def measure(self, genotypes, generation: int = 0) -> dict[Genotype, tuple[float, ...]]:
-        """:func:`nsga2_core`'s callback: the store's checks once per batch, no store."""
-        G = np.array(genotypes, dtype=np.int64)
-        values, keep = _evaluate(self, G)
-        _, values = _check_rows(self.space, G[keep], values[keep], len(self.models))
-        return dict(zip(compress(genotypes, keep), map(tuple, values.tolist())))
+        """:func:`nsga2_core`'s callback: the store's checks once per batch, no store;
+        the models see only checked, so canonical, rows, featurized directly."""
+        G = _check_genotypes(self.space, genotypes)
+        X = G / self.space.unit_denominators
+        G, V = _check_values(G, self._predict(X), len(self.models), rejectable=True)
+        return dict(zip(map(tuple, G.tolist()), map(tuple, V.tolist())))
 
 
 @dataclass(frozen=True)

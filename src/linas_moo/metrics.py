@@ -30,11 +30,12 @@ def _ranks_2d(F: np.ndarray) -> np.ndarray:
     ranks = np.zeros(len(F), dtype=np.int64)
     rows = np.nonzero(~np.isnan(F).any(axis=1))[0]
     rows = rows[np.lexsort((F[rows, 1], F[rows, 0]))]
-    lasts: list[tuple[float, float]] = []
-    for i, key in zip(rows.tolist(), zip(F[rows, 1].tolist(), F[rows, 0].tolist())):
+    lasts, found = [], []  # each front's latest (f2, f1) key; each row's front
+    for key in zip(F[rows, 1].tolist(), F[rows, 0].tolist()):
         r = bisect.bisect_left(lasts, key)
         lasts[r : r + 1] = [key]
-        ranks[i] = r
+        found.append(r)
+    ranks[rows] = found
     return ranks
 
 

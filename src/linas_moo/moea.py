@@ -27,7 +27,7 @@ from .objective import (
     EvaluationStore,
     Measurement,
     ObjectiveSpec,
-    StoreContractError,
+    _check_values,
     oriented_values,
 )
 from .space import Genotype, SearchSpace
@@ -113,20 +113,24 @@ def _crowding(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
     Boundary members per objective get infinity; interior members sum
     neighbour gaps scaled by the objective's range. A zero-range objective
-    (``hi == lo``, also a constant inf column) contributes nothing.
+    (``hi == lo``, also a constant inf column) contributes nothing. Each
+    sort puts the ranks in order, so the front bounds are found once.
     """
     crowd = np.zeros(len(F))
+    first = np.concatenate([[True], np.diff(np.sort(ranks)) != 0])
+    last = np.concatenate([first[1:], [True]])
+    front = np.cumsum(first) - 1
+    interior = np.flatnonzero(~(first | last))
     for col in F.T:
         order = np.lexsort((col, ranks))
-        r, c = ranks[order], col[order]
-        first = np.concatenate([[True], r[1:] != r[:-1]])
-        last = np.concatenate([first[1:], [True]])
-        front = np.cumsum(first) - 1
-        lo, hi = c[first][front], c[last][front]
-        live = hi != lo
+        c = col[order]
+        lo, hi = c[first], c[last]
+        live = (hi != lo)[front]
         crowd[order[live & (first | last)]] = math.inf
-        inner = np.flatnonzero(live & ~first & ~last)
-        crowd[order[inner]] += (c[inner + 1] - c[inner - 1]) / (hi[inner] - lo[inner])
+        inner = interior[live[interior]]
+        # A gap of inf - inf, or inf over an infinite range, is nan: kept, unwarned.
+        with np.errstate(invalid="ignore"):
+            crowd[order[inner]] += (c[inner + 1] - c[inner - 1]) / (hi - lo)[front[inner]]
     return crowd
 
 
@@ -161,10 +165,10 @@ def tournament_winners(
     second = rng.integers(0, n - 1, size=count)
     second = second + (second >= first)
     coin = rng.integers(0, 2, size=count).astype(bool)
-    first_wins = (ranks[first] < ranks[second]) | (
-        (ranks[first] == ranks[second]) & (crowding[first] > crowding[second])
-    )
-    tie = (ranks[first] == ranks[second]) & (crowding[first] == crowding[second])
+    r1, r2, c1, c2 = ranks[first], ranks[second], crowding[first], crowding[second]
+    same = r1 == r2
+    first_wins = (r1 < r2) | (same & (c1 > c2))
+    tie = same & (c1 == c2)
     return np.where(first_wins | (tie & coin), first, second)
 
 
@@ -212,34 +216,25 @@ def mutate(
     return np.where(hits, replacement, G)
 
 
-def _evaluate(evaluator, genotypes) -> tuple[np.ndarray, np.ndarray]:
-    """One batch's ``(B, m)`` values and the mask of accepted (not all-NaN) rows."""
-    values = np.asarray(evaluator.evaluate_batch(genotypes), dtype=np.float64)
-    if values.ndim != 2 or len(values) != len(genotypes):
-        raise StoreContractError(
-            f"evaluator returned shape {values.shape} for {len(genotypes)} genotypes"
-        )
-    return values, ~np.isnan(values).all(axis=1)
-
-
 def _measure_new(
     store: EvaluationStore,
     evaluator,
-    genotypes: Sequence[Genotype],
+    genotypes,
     source: str,
     iteration: int,
 ) -> list[Measurement]:
     """Measure distinct unseen canonical genotypes in one batch.
 
-    Stores every accepted row and returns the new measurements in order.
-    Rejected rows are skipped; any other non-finite row makes the store
-    raise :class:`StoreContractError`.
+    ``genotypes`` (a ``(k, n)`` int array or ``k`` rows) goes to the evaluator as
+    given. Stores every accepted row and returns the new measurements in order.
+    Rejected rows are skipped; other non-finite rows raise :class:`StoreContractError`.
     """
-    if not genotypes:
+    if len(genotypes) == 0:
         return []
-    values, keep = _evaluate(evaluator, genotypes)
-    kept = list(compress(genotypes, keep))
-    return store.insert_batch(kept, values[keep], source=source, iteration=iteration)
+    values = evaluator.evaluate_batch(genotypes)
+    G = np.asarray(genotypes, dtype=np.int64)
+    G, V = _check_values(G, values, len(store.objectives), rejectable=True)
+    return store.insert_batch(G, V, source=source, iteration=iteration)
 
 
 def draw_unseen(
@@ -358,39 +353,53 @@ def nsga2_core(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Elitist NSGA-II on arrays until the budget (or generation cap) is hit.
 
-    ``measure(genotypes, generation)`` takes distinct unseen canonical
-    genotypes and returns ``{genotype: raw values}`` for those it accepted;
-    they join ``known``, the dedup dict of everything measured. Known
-    offspring cost no budget; new ones past the budget are dropped.
-    Returns the final genotypes, minimized objectives and generation count.
+    ``measure(genotypes, generation)`` takes a ``(k, n)`` int64 array of
+    distinct canonical rows not in ``known``, in child order (never empty),
+    and returns ``{genotype: raw values}`` for those it accepted; they join
+    ``known``, the dedup dict of everything measured. Known offspring cost
+    no budget; new ones past the budget are dropped. Returns the final
+    genotypes, minimized objectives and generation count.
     """
     rng = search_rng(config.seed)
     pop = config.population_size
     counts = space.option_counts
     budget_left = config.max_evaluations
 
-    def measured(fresh: list[Genotype], generation: int) -> int:
-        new = measure(fresh, generation) if fresh else {}
+    def measured(rows: np.ndarray, generation: int, limit: int) -> tuple[np.ndarray, list, int]:
+        # Measures the first ``limit`` unseen distinct rows; returns known rows, values, count.
+        keys = list(map(tuple, rows.tolist()))
+        first: dict[Genotype, int] = {}
+        for i, g in enumerate(keys):
+            if g not in known:
+                first.setdefault(g, i)
+        fresh = list(first.values())[:limit]
+        new = measure(rows[fresh], generation) if fresh else {}
         known.update(new)
-        return len(new)
+        values = list(map(known.get, keys))
+        keep = [v is not None for v in values]
+        if not all(keep):  # rejected, or past the budget
+            rows, values = rows[keep], list(compress(values, keep))
+        return rows, values, len(new)
 
     # Initial population: uniform draws; duplicates allowed and resolved
     # through ``known``. Rejected configs are resampled. A population never
     # outgrows max_evaluations, so the budget cannot run out here.
-    rows: list[Genotype] = []
+    parts: list[np.ndarray] = []
+    values: list[tuple[float, ...]] = []
     attempts = 0
-    while len(rows) < pop:
-        draws = list(map(tuple, space.sample_batch(rng, pop - len(rows)).tolist()))
-        budget_left -= measured([g for g in dict.fromkeys(draws) if g not in known], 0)
-        kept = [g for g in draws if g in known]
-        rows.extend(kept)
+    while len(values) < pop:
+        draws = space.sample_batch(rng, pop - len(values))
+        kept, kept_values, new = measured(draws, 0, len(draws))
+        budget_left -= new
+        parts.append(kept)
+        values.extend(kept_values)
         attempts += len(draws) - len(kept)
         if attempts >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(
                 f"could not assemble an initial population after {attempts} attempts"
             )
-    G = np.array(rows, dtype=np.int64)
-    F = oriented_values([known[g] for g in rows], objectives)
+    G = np.concatenate(parts)
+    F = oriented_values(values, objectives)
     ranks, crowd = rank_and_crowd(F)
 
     generations = 0
@@ -417,17 +426,15 @@ def nsga2_core(
 
         # Measure: known children are free, new configs spend budget in
         # child order, overflow and rejected children are dropped.
-        child_tuples = list(map(tuple, children.tolist()))
-        fresh = [g for g in dict.fromkeys(child_tuples) if g not in known][:budget_left]
-        new = measured(fresh, generations)
+        children, off_values, new = measured(children, generations, budget_left)
         budget_left -= new
         stall = 0 if new else stall + 1
 
-        keep = [g in known for g in child_tuples]
-        if any(keep):
-            off_F = oriented_values([known[g] for g in compress(child_tuples, keep)], objectives)
+        if off_values:
             G, F, ranks, crowd = environmental_selection(
-                np.concatenate([G, children[keep]]), np.concatenate([F, off_F]), pop
+                np.concatenate([G, children]),
+                np.concatenate([F, oriented_values(off_values, objectives)]),
+                pop,
             )
     return G, F, generations
 

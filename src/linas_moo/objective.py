@@ -71,19 +71,29 @@ def oriented_values(values, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:
     return arr * signs
 
 
-def _check_rows(space: SearchSpace, genotypes, values, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check a batch as :meth:`EvaluationStore.insert_batch` does; return it as arrays."""
+def _check_genotypes(space: SearchSpace, genotypes) -> np.ndarray:
+    """Check genotypes as :meth:`EvaluationStore.insert_batch` does; return them as int64."""
     G = space.validate_batch(genotypes)
     off = np.flatnonzero((space.canonicalize_batch(G) != G).any(axis=1))
     if off.size:
         raise StoreContractError(f"genotype {format_genotype(G[off[0]])} is not canonical")
+    return G
+
+
+def _check_values(G: np.ndarray, values, m: int, rejectable: bool = False):
+    """Check the ``(len(G), m)`` values of genotypes ``G``; return both, less rejected rows:
+    a non-finite row is refused, unless ``rejectable`` and all NaN (a rejection, dropped)."""
     V = np.asarray(values, dtype=np.float64)
     if V.shape != (len(G), m):
         raise StoreContractError(f"expected values of shape {(len(G), m)}, got {V.shape}")
-    off = np.flatnonzero(~np.isfinite(V).all(axis=1))
+    bad = ~np.isfinite(V).all(axis=1)
+    if not bad.any():
+        return G, V
+    rejected = np.isnan(V).all(axis=1) & rejectable
+    off = np.flatnonzero(bad & ~rejected)
     if off.size:
         raise StoreContractError(f"non-finite objective values: {tuple(V[off[0]].tolist())}")
-    return G, V
+    return G[~rejected], V[~rejected]
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,7 @@ class EvaluationStore:
             StoreContractError: a non-canonical genotype, wrong objective
                 arity, or non-finite values.
         """
-        G, V = _check_rows(self.space, genotypes, values, len(self.objectives))
+        G, V = _check_values(_check_genotypes(self.space, genotypes), values, len(self.objectives))
         start = len(self._records)
         for g, vals in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
             if g not in self._position:

@@ -106,10 +106,10 @@ class RidgeModel:
         return X @ self.coef_ + self.intercept_
 
 
-def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float, B_sq=None) -> np.ndarray:
     # Built in place; the operation order of exp(-gamma * max(|a|^2 + |b|^2
-    # - 2 a.b, 0)) is kept so that outputs stay bitwise stable.
-    sq = np.add.outer(np.sum(A * A, axis=1), np.sum(B * B, axis=1))
+    # - 2 a.b, 0)) is kept so that outputs stay bitwise stable. B_sq: |b|^2.
+    sq = np.add.outer(np.sum(A * A, axis=1), np.sum(B * B, axis=1) if B_sq is None else B_sq)
     cross = A @ B.T
     cross *= 2.0
     sq -= cross
@@ -135,7 +135,7 @@ class SvrRbfModel:
 
     Attributes after fit: ``dual_coef_`` (beta = alpha - alpha*, one per
     training point, |beta| <= C), ``intercept_``, ``kkt_gap_``,
-    ``n_iter_``, ``converged_``.
+    ``n_iter_``, ``converged_``. Only the support rows (beta != 0) are kept.
     """
 
     def __init__(
@@ -163,7 +163,7 @@ class SvrRbfModel:
         self.kkt_gap_: float | None = None
         self.n_iter_: int = 0
         self.converged_: bool = False
-        self._X: np.ndarray | None = None
+        self._support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def fit(self, X, y) -> "SvrRbfModel":
         X, z = _check_xy(X, y)
@@ -287,18 +287,19 @@ class SvrRbfModel:
             b = float((np.max(f + up) + np.min(f + low)) / 2.0)
         self.dual_coef_ = alpha_v - alpha_s_v
         self.intercept_ = b
-        self._X = X
+        support = np.nonzero(self.dual_coef_)[0]
+        S = X[support]
+        self._support = (S, np.sum(S * S, axis=1), self.dual_coef_[support])
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.dual_coef_ is None or self._X is None:
+        if self._support is None:
             raise RuntimeError("predict before fit")
         X = np.asarray(X, dtype=np.float64)
-        support = np.nonzero(self.dual_coef_)[0]
-        if support.size == 0:
+        S, S_sq, beta = self._support
+        if len(S) == 0:
             return np.full(X.shape[0], self.intercept_)
-        K = _rbf_kernel(X, self._X[support], self.gamma_)
-        return K @ self.dual_coef_[support] + self.intercept_
+        return _rbf_kernel(X, S, self.gamma_, S_sq) @ beta + self.intercept_
 
 
 class StackedModel:

@@ -262,15 +262,18 @@ class SearchSpace:
         G = np.asarray(genotypes, dtype=np.int64)
         return np.where(self.active_mask_batch(G), G, 0)
 
+    @cached_property
+    def unit_denominators(self) -> np.ndarray:
+        """``max(k_i - 1, 1)`` per variable, float: canonical ``G / this`` is unit coordinates."""
+        return np.maximum(self.option_counts - 1, 1).astype(np.float64)
+
     def unit_coordinates_batch(self, genotypes) -> np.ndarray:
         """Map ``(B, n)`` genotypes to unit-interval coordinates.
 
         Position i becomes ``index / (k_i - 1)``; single-option and inactive
         positions become 0.0. The genotypes are canonicalized first.
         """
-        G = self.canonicalize_batch(np.asarray(genotypes, dtype=np.int64))
-        denom = np.maximum(self.option_counts - 1, 1).astype(np.float64)
-        return G / denom
+        return self.canonicalize_batch(genotypes) / self.unit_denominators
 
     def decode(self, genotype: Genotype) -> dict[str, int]:
         """Map a genotype to ``{variable name: option value}`` for active variables only."""

@@ -189,6 +189,41 @@ class TestInnerMeasure:
         assert list(known.items()) == [(m.genotype, m.values) for m in out.store]
 
 
+class TestInnerMeasureInput:
+    """``measure`` takes the int64 arrays ``nsga2_core`` passes it, and checks first."""
+
+    def test_array_and_tuple_forms_agree(self, free_space):
+        space, land = small_problem()
+        surrogate = fitted_surrogate(space, land)
+        rng = np.random.default_rng(2)
+        G = np.unique(space.sample_batch(rng, 30), axis=0)
+        got = surrogate.measure(G, 1)
+        assert got == surrogate.measure(list(map(tuple, G.tolist())), 1)
+        assert list(got) == list(map(tuple, G.tolist()))
+        rejecting = PredictorEvaluator(
+            free_space, (FixedModel([1.0, np.nan, 3.0]), FixedModel([2.0, np.nan, 4.0]))
+        )
+        rows = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        assert rejecting.measure(np.array(rows)) == rejecting.measure(rows)
+
+    def test_models_never_see_a_batch_that_fails_the_genotype_check(
+        self, free_space, masked_space
+    ):
+        class Unreachable:
+            def predict(self, X):
+                raise AssertionError("predict reached")
+
+        models = (Unreachable(), Unreachable())
+        with pytest.raises(MalformedGenotypeError, match="outside"):
+            PredictorEvaluator(free_space, models).measure(np.array([[0, 0, 0], [0, 0, 2]]))
+        with pytest.raises(MalformedGenotypeError, match="length"):
+            PredictorEvaluator(free_space, models).measure([(0, 0)])
+        with pytest.raises(StoreContractError, match="not canonical"):
+            PredictorEvaluator(masked_space, models).measure(
+                np.array([[0, 1, 0, 0], [0, 1, 2, 0]])
+            )
+
+
 class TestSelectBestUnique:
     def population(self, rows):
         return (

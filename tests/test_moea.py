@@ -1,6 +1,7 @@
 """Evolutionary engine tests against explicit-loop oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,41 @@ class TestWholePoolRankAndCrowd:
         assert sel_G[:, 0].tolist() == [0, 6]
 
 
+class TestInfiniteColumns:
+    """Crowding on +-inf columns: no warning, and the same values as before,
+    bit for bit against the per-front reference (nan sign bits included)."""
+
+    # Ranks and crowding as the kernel gave them when its inf - inf and
+    # inf / inf gaps still warned; index 7's gap is inf / inf, so nan.
+    F = np.array(
+        [[0, math.inf], [1, -math.inf], [math.inf, 0], [-math.inf, 1], [2, math.inf],
+         [math.inf, math.inf], [-math.inf, -math.inf], [3, 3], [math.inf, 3], [3, -math.inf]]
+    )
+    RANKS = [2, 1, 3, 1, 3, 5, 0, 3, 4, 2]
+    CROWD = [math.inf, math.inf, math.inf, math.inf, math.inf, 0.0, 0.0, math.nan, 0.0, math.inf]
+
+    def test_hand_case_is_unchanged_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks, crowd = rank_and_crowd(self.F)
+        assert ranks.tolist() == self.RANKS
+        assert np.array_equal(crowd, self.CROWD, equal_nan=True)
+
+    def test_matches_reference_without_warnings(self):
+        cases = [self.F, TestWholePoolRankAndCrowd.CONSTANT_INF]
+        cases += [F for F in hard_objective_matrices(seed=41, count=200, ms=(1, 2, 3))
+                  if np.isinf(F).any()]
+        assert len(cases) > 50
+        for F in cases:
+            with np.errstate(all="ignore"):
+                want = rank_and_crowd_reference(F)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rank_and_crowd(F)
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+
+
 class TestRandomSearch:
     def test_budget_and_record_shape(self, free_space):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
@@ -702,6 +738,68 @@ class TestNsga2:
 def reject_first_option(g):
     """(sum, a) for configs with a > 0; a = 0 comes back as an all-NaN row."""
     return (math.nan, math.nan) if g[0] == 0 else (float(sum(g)), float(g[0]))
+
+
+class TestMeasureProtocol:
+    """What ``nsga2_core`` hands ``measure``: int64 ``(k, n)`` arrays of
+    distinct, unseen, canonical rows in child order, and only when a
+    generation has such a row."""
+
+    def record(self, monkeypatch, space, cfg, reject):
+        seen: dict = {}
+        offered = [None]  # per generation: (fresh children, the budget's cut)
+        calls = []
+        real_mutate = moea.mutate
+
+        def recording_mutate(*args):
+            out = real_mutate(*args)
+            children = map(tuple, space.canonicalize_batch(out).tolist())
+            fresh = [g for g in dict.fromkeys(children) if g not in seen]
+            offered.append((fresh, fresh[: cfg.max_evaluations - len(seen)]))
+            return out
+
+        def measure(rows, generation):
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            assert rows.ndim == 2 and rows.shape[1] == space.n_variables and len(rows)
+            assert np.array_equal(space.canonicalize_batch(rows), rows)
+            keys = list(map(tuple, rows.tolist()))
+            assert len(set(keys)) == len(keys)
+            assert not any(g in seen for g in keys)
+            calls.append((generation, keys))
+            new = {g: (float(sum(g)), float(g[0])) for g in keys if not reject(g)}
+            seen.update(new)
+            return new
+
+        monkeypatch.setattr(moea, "mutate", recording_mutate)
+        _, _, generations = moea.nsga2_core(space, measure, ACC_LAT, cfg, {})
+        assert len(offered) == generations + 1
+        return offered, calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_space_with_rejections(self, monkeypatch, masked_space, seed):
+        cfg = EaConfig(population_size=6, max_evaluations=20, seed=seed, stall_generations=10)
+        offered, calls = self.record(
+            monkeypatch, masked_space, cfg, reject=lambda g: sum(g) % 5 == 0
+        )
+        self.check(offered, calls)
+        assert any(not fresh for fresh, _ in offered[1:])
+        assert any(fresh for fresh, _ in offered[1:])
+
+    def test_budget_cuts_the_last_generation(self, monkeypatch):
+        space = builtin_space("mobilenetv3")
+        cfg = EaConfig(population_size=10, max_evaluations=47, seed=4)
+        offered, calls = self.record(monkeypatch, space, cfg, reject=lambda g: False)
+        self.check(offered, calls)
+        fresh, cut = offered[-1]
+        assert 0 < len(cut) < len(fresh)
+
+    def check(self, offered, calls):
+        by_generation: dict = {}
+        for generation, keys in calls:
+            by_generation.setdefault(generation, []).append(keys)
+        assert by_generation[0]
+        for generation, (_, cut) in enumerate(offered[1:], start=1):
+            assert by_generation.get(generation, []) == ([cut] if cut else [])
 
 
 class TestRejectedRows:

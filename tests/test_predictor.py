@@ -291,6 +291,26 @@ class TestSvrRbf:
         pred = float(model.predict(np.zeros((1, 1)))[0])
         assert 0.0 < pred < 1.0
 
+    @pytest.mark.parametrize("n", [50, 250, "zero support"])
+    def test_predict_matches_full_training_kernel(self, n):
+        # predict keeps only the support rows and their norms; it must equal
+        # the kernel against every training row's support subset bit for bit.
+        X, y = learning_curve_data(n=250)
+        if n == "zero support":
+            X, y = X[:50], np.full(50, 3.25)
+        else:
+            X, y = X[:n], y[:n]
+        model = SvrRbfModel().fit(X, y)
+        support = np.nonzero(model.dual_coef_)[0]
+        assert (support.size == 0) == (n == "zero support")
+        probe = learning_curve_data(n=300)[0][250:]
+        if support.size:
+            K = _rbf_kernel(probe, X[support], model.gamma_)
+            want = K @ model.dual_coef_[support] + model.intercept_
+        else:
+            want = np.full(len(probe), model.intercept_)
+        assert model.predict(probe).tobytes() == want.tobytes()
+
     def test_kkt_gap_at_most_tol_when_converged(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(size=(60, 2))
