@@ -26,7 +26,7 @@ from .moea import (
 from .objective import (
     EvaluationStore, ObjectiveSpec, _check_genotypes, _check_values, oriented_values,
 )
-from .predictor import PREDICTOR_KINDS, featurize_batch, make_predictor
+from .predictor import PREDICTOR_KINDS, featurize_batch, featurize_canonical, make_predictor
 from .space import Genotype, SearchSpace
 
 LINAS_SOURCE = "linas"
@@ -51,11 +51,10 @@ class PredictorEvaluator:
         return self._predict(featurize_batch(self.space, genotypes))
 
     def measure(self, genotypes, generation: int = 0) -> dict[Genotype, tuple[float, ...]]:
-        """:func:`nsga2_core`'s callback: the store's checks once per batch, no store;
-        the models see only checked, so canonical, rows, featurized directly."""
+        """:func:`nsga2_core`'s callback, no store: check genotypes, predict, check values."""
         G = _check_genotypes(self.space, genotypes)
-        X = G / self.space.unit_denominators
-        G, V = _check_values(G, self._predict(X), len(self.models), rejectable=True)
+        V = self._predict(featurize_canonical(self.space, G))
+        G, V = _check_values(G, V, len(self.models), rejectable=True)
         return dict(zip(map(tuple, G.tolist()), map(tuple, V.tolist())))
 
 

@@ -8,9 +8,9 @@ a store, and the predictor-only inner search of LINAS calls it directly.
 Objectives are handled internally in minimization convention; evaluators
 stay in natural directions.
 
-An evaluator has one method, ``evaluate_batch(genotypes)``, returning a
-``(B, m)`` float array of raw values. An all-NaN row marks a configuration
-the evaluator rejects: searches skip it and spend no budget on it.
+An evaluator has one method, ``evaluate_batch(G)``: given a ``(B, n)`` int64
+array of genotypes, it returns a ``(B, m)`` float array of raw values. An all-NaN
+row marks a configuration the evaluator rejects: searches skip it, spending no budget.
 """
 
 from __future__ import annotations
@@ -225,14 +225,14 @@ def _measure_new(
 ) -> list[Measurement]:
     """Measure distinct unseen canonical genotypes in one batch.
 
-    ``genotypes`` (a ``(k, n)`` int array or ``k`` rows) goes to the evaluator as
-    given. Stores every accepted row and returns the new measurements in order.
-    Rejected rows are skipped; other non-finite rows raise :class:`StoreContractError`.
+    ``genotypes`` (rows or a ``(k, n)`` array) reach the evaluator as one ``(k, n)``
+    int64 array. Stores every accepted row and returns the new measurements in
+    order. Rejected rows are skipped; other non-finite rows raise :class:`StoreContractError`.
     """
     if len(genotypes) == 0:
         return []
-    values = evaluator.evaluate_batch(genotypes)
     G = np.asarray(genotypes, dtype=np.int64)
+    values = evaluator.evaluate_batch(G)
     G, V = _check_values(G, values, len(store.objectives), rejectable=True)
     return store.insert_batch(G, V, source=source, iteration=iteration)
 
@@ -284,6 +284,7 @@ def sample_fresh_into_store(
     misses = 0
     while len(new) < count:
         batch, misses = draw_unseen(space, rng, count - len(new), store, misses)
+        batch = np.array(batch, dtype=np.int64)  # frees the tuples before measuring
         measured = _measure_new(store, evaluator, batch, source, iteration)
         misses = 0 if measured else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
@@ -404,10 +405,8 @@ def nsga2_core(
 
     generations = 0
     stall = 0
-    while budget_left > 0:
+    while budget_left > 0 and stall < config.stall_generations:
         if config.max_generations is not None and generations >= config.max_generations:
-            break
-        if stall >= config.stall_generations:
             break
         generations += 1
 
@@ -431,11 +430,8 @@ def nsga2_core(
         stall = 0 if new else stall + 1
 
         if off_values:
-            G, F, ranks, crowd = environmental_selection(
-                np.concatenate([G, children]),
-                np.concatenate([F, oriented_values(off_values, objectives)]),
-                pop,
-            )
+            F_all = np.concatenate([F, oriented_values(off_values, objectives)])
+            G, F, ranks, crowd = environmental_selection(np.concatenate([G, children]), F_all, pop)
     return G, F, generations
 
 

@@ -46,9 +46,14 @@ class UndefinedMetricError(ValueError):
     """Raised when MAPE or Kendall tau has a zero denominator."""
 
 
+def featurize_canonical(space: SearchSpace, G: np.ndarray) -> np.ndarray:
+    """Features of ``(B, n)`` rows that are already canonical: ``index / (k_i - 1)``."""
+    return G / space.unit_denominators
+
+
 def featurize_batch(space: SearchSpace, genotypes) -> np.ndarray:
     """Feature matrix ``(B, n_variables)``: canonical unit-interval coordinates."""
-    return space.unit_coordinates_batch(genotypes)
+    return featurize_canonical(space, space.canonicalize_batch(genotypes))
 
 
 def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +290,8 @@ class SvrRbfModel:
             b = float(np.mean(np.concatenate([f[free] - eps, f[free_s] + eps])))
         else:
             b = float((np.max(f + up) + np.min(f + low)) / 2.0)
-        self.dual_coef_ = alpha_v - alpha_s_v
-        self.intercept_ = b
+        self.dual_coef_, self.intercept_ = alpha_v - alpha_s_v, b
+        del K, H  # free the 2 n^2 kernel floats before the support rows are copied
         support = np.nonzero(self.dual_coef_)[0]
         S = X[support]
         self._support = (S, np.sum(S * S, axis=1), self.dual_coef_[support])

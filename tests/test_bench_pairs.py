@@ -27,6 +27,8 @@ def canned_runs():
     runs = []
     for i, (a, c) in enumerate(zip(PARENT_RUN_S, CHANGE_RUN_S)):
         sha_change = ["sha256 w seed=1 x.csv ab", "sha256 w seed=1 y.csv cd" if i != 3 else "zz"]
+        if i == 4:  # a run that prints fewer lines differs on the missing one
+            sha_change = sha_change[:1]
         order = [("parent", a, 60.0, ["sha256 w seed=1 x.csv ab", "sha256 w seed=1 y.csv cd"]),
                  ("change", c, 59.0 + i, sha_change)]
         for side, run_s, rss, sha in order if i % 2 == 0 else order[::-1]:
@@ -42,8 +44,8 @@ def test_summary_counts_pairs_wins_and_digests():
     assert s["pairs"] == 5
     assert s["seeds"] == [630, 631, 632, 633, 634]
     assert s["run_s_change_faster_pairs"] == 4
-    assert s["sha256_lines_equal"] == 9
-    assert s["sha256_lines_differ"] == 1
+    assert s["sha256_lines_equal"] == 8
+    assert s["sha256_lines_differ"] == 2
     ratios = [c / a for a, c in zip(PARENT_RUN_S, CHANGE_RUN_S)]
     assert s["run_s_median_pair_ratio"] == pytest.approx(statistics.median(ratios))
     assert summary["baselines_large"]["pairs"] == 0

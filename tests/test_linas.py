@@ -224,6 +224,27 @@ class TestInnerMeasureInput:
             )
 
 
+class TestEvaluatorInput:
+    """Every search hands ``evaluate_batch`` one ``(B, n)`` int64 array."""
+
+    def test_every_search_passes_int64_arrays(self):
+        space, land = small_problem()
+        batches = []
+
+        class Recording:
+            def evaluate_batch(self, G):
+                batches.append(G)
+                return land.evaluate_batch(G)
+
+        run_random(space, Recording(), ACC_LAT, 30, seed=0)
+        run_nsga2(space, Recording(), ACC_LAT, EaConfig(population_size=10, max_evaluations=40))
+        run_linas(space, Recording(), ACC_LAT, quick_config())
+        assert len(batches) > 3
+        for G in batches:
+            assert isinstance(G, np.ndarray) and G.dtype == np.int64
+            assert G.ndim == 2 and G.shape[1] == space.n_variables
+
+
 class TestSelectBestUnique:
     def population(self, rows):
         return (

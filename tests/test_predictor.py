@@ -23,6 +23,7 @@ from linas_moo.predictor import (
     _rbf_kernel,
     analyze_predictors,
     featurize_batch,
+    featurize_canonical,
     kendall_tau,
     make_predictor,
     mape,
@@ -211,6 +212,12 @@ class TestFeaturize:
         gs = [space.sample_uniform(rng) for _ in range(20)]
         batch = featurize_batch(space, gs)
         assert np.array_equal(batch, np.concatenate([featurize_batch(space, [g]) for g in gs]))
+
+    def test_canonical_rows_featurize_without_canonicalizing(self):
+        space = builtin_space("mobilenetv3")
+        G = space.sample_batch(np.random.default_rng(3), 50)
+        assert featurize_canonical(space, G).tobytes() == featurize_batch(space, G).tobytes()
+        assert featurize_batch(space, G).tobytes() == space.unit_coordinates_batch(G).tobytes()
 
 
 class TestRidge:

@@ -1,21 +1,22 @@
 """Run alternating parent/change benchmark pairs and write ``BENCH_<pr>.json``.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --pr N \\
-        [--workloads search_paper ...] [--pairs 10] [--first-seed 630] [--seconds 35] [--resume]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --pr N [--pairs 10] [--resume]
 
-``DIR`` is the root of a source checkout (it holds ``src/`` and
-``perfbench/``). Pair ``i`` runs
+``DIR`` is the root of a source checkout (it holds ``src/``, ``perfbench/``
+and ``BENCHMARK.json``). The workloads and the run length come from the
+change checkout's ``BENCHMARK.json`` (``workloads``, ``run_seconds``). Pair
+``i`` of each workload runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
-with seed ``S = first-seed + i`` in each checkout, one after the other: the
-parent first when ``i`` is even, the change first when it is odd, so slow
-drift of the host does not favour one side. The file, written to
-``BENCH_<pr>.json`` in the change checkout after every pair, holds every
-result line (``runs``), the SHA-256 lines each run printed, and per workload
-and metric the median, quartiles, min and max of each side (``summary``).
-With ``--resume``, the complete pairs already in that file are kept and not
-run again, so an interrupted session can be finished.
+with seed ``S = 630 + i`` in each checkout, one after the other: the parent
+first when ``i`` is even, the change first when it is odd, so slow drift of
+the host does not favour one side. The file, written to ``BENCH_<pr>.json``
+in the change checkout after every pair, holds every result line (``runs``),
+the SHA-256 lines each run printed, and per workload and metric the median,
+quartiles, min and max of each side (``summary``). With ``--resume``, the
+complete pairs already in that file are kept and not run again, so an
+interrupted session can be finished.
 
 Host speed drifts between sessions, so compare medians only within one file.
 """
@@ -30,9 +31,11 @@ import statistics
 import subprocess
 import sys
 from importlib import metadata
+from itertools import zip_longest
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FIRST_SEED = 630
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -40,10 +43,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=630)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--resume", action="store_true")
     return parser.parse_args(argv)
 
@@ -68,7 +68,8 @@ def stats(values: list[float]) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Per workload: pair count, seeds, per-metric stats of each side, how
-    many SHA-256 lines matched across a pair, and how many pairs the
+    many SHA-256 lines matched or differed across pairs (a line one side
+    did not print differs), and how many pairs the
     change ran faster (``run_s``) and by what median ratio."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -86,17 +87,14 @@ def summarize(runs: list[dict]) -> dict:
         }
         run_s = [(p["parent"]["result"]["metrics"]["run_s"]["value"],
                   p["change"]["result"]["metrics"]["run_s"]["value"]) for p in pairs.values()]
+        sha_lines = [line for p in pairs.values()
+                     for line in zip_longest(p["parent"]["sha256"], p["change"]["sha256"])]
         out[workload] = {
             "pairs": len(pairs),
             "seeds": [p["parent"]["seed"] for p in pairs.values()],
             "metrics": metrics,
-            "sha256_lines_equal": sum(
-                a == b for p in pairs.values()
-                for a, b in zip(p["parent"]["sha256"], p["change"]["sha256"])
-            ),
-            "sha256_lines_differ": sum(
-                p["parent"]["sha256"] != p["change"]["sha256"] for p in pairs.values()
-            ),
+            "sha256_lines_equal": sum(a == b for a, b in sha_lines),
+            "sha256_lines_differ": sum(a != b for a, b in sha_lines),
             "run_s_change_faster_pairs": sum(c < a for a, c in run_s),
             "run_s_median_pair_ratio": statistics.median(c / a for a, c in run_s) if run_s else None,
         }
@@ -112,14 +110,14 @@ def git_rev(checkout: Path) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads or [
-        w["name"] for w in json.loads((roots["change"] / "BENCHMARK.json").read_text())["workloads"]
-    ]
+    bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     out_path = roots["change"] / f"BENCH_{args.pr}.json"
     doc = {
         "what": "linas-moo benchmark pairs: parent commit vs this change, "
                 "run one after the other on the same host",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0, each side in its own checkout (tools/bench_pairs.py)",
         "parent": git_rev(roots["parent"]),
         "order": "pairs alternate which side runs first (even pair index: parent first)",
@@ -138,11 +136,11 @@ def main(argv=None) -> int:
     done = {(r["workload"], r["pair"]) for r in doc["runs"]}
     for workload in workloads:
         for i in range(args.pairs):
-            seed = args.first_seed + i
+            seed = FIRST_SEED + i
             if (workload, i) in done:
                 continue
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result, sha = run_once(roots[side], workload, seed, args.seconds)
+                result, sha = run_once(roots[side], workload, seed, seconds)
                 doc["runs"].append({"workload": workload, "seed": seed, "pair": i, "side": side,
                                     "trace": 0, "result": result, "sha256": sha})
             doc["summary"] = summarize(doc["runs"])
