@@ -35,13 +35,13 @@ from .objective import (
     MINIMIZE,
     DegenerateScaleError,
     EvaluationStore,
-    Measurement,
+    MeasurementColumns,
     ObjectiveSpec,
     SyntheticLandscape,
     TabularEvaluator,
     normalize_latency,
     oriented_values,
-    read_measurements_jsonl,
+    read_measurement_columns,
 )
 from .predictor import (
     DEFAULT_ANALYSIS_SEED,
@@ -54,7 +54,7 @@ from .predictor import (
     check_protocol,
     featurize_batch,
 )
-from .space import BUILTIN_SPACES, SearchSpace, builtin_space, format_genotype
+from .space import BUILTIN_SPACES, SearchSpace, builtin_space, format_genotypes
 
 
 class ConfigError(Exception):
@@ -580,19 +580,16 @@ def _cmd_predictor_analysis(args) -> int:
     return 0
 
 
-def _read_measurements(path: str) -> list[Measurement]:
+def _read_measurements(path: str) -> MeasurementColumns:
     try:
-        records = read_measurements_jsonl(path)
+        columns = read_measurement_columns(path)
     except OSError as exc:
         raise ConfigError("input", f"cannot read {path}: {exc}")
     except ValueError as exc:
         raise ConfigError("input", str(exc))
-    if not records:
+    if not len(columns):
         raise ConfigError("input", f"{path}: no measurements")
-    arity = {len(m.values) for m in records}
-    if len(arity) != 1:
-        raise ConfigError("input", f"{path}: mixed objective counts {sorted(arity)}")
-    return records
+    return columns
 
 
 def _parse_directions(text: str | None, m: int) -> tuple[ObjectiveSpec, ...]:
@@ -612,20 +609,22 @@ def _parse_directions(text: str | None, m: int) -> tuple[ObjectiveSpec, ...]:
 
 
 def _cmd_pareto(args) -> int:
-    records = _read_measurements(args.input)
-    m = len(records[0].values)
+    cols = _read_measurements(args.input)
+    m = cols.values.shape[1]
     objectives = _parse_directions(args.directions, m)
-    front = pareto_front(np.array([r.values for r in records]), objectives)
+    front = pareto_front(cols.values, objectives).tolist()
     header = (
         ["eval_index", "genotype"]
         + [f"value_{j + 1}" for j in range(m)]
         + ["source", "iteration"]
     )
     rows = [
-        [r.eval_index, format_genotype(r.genotype)]
-        + [repr(v) for v in r.values]
-        + [r.source, r.iteration]
-        for r in (records[i] for i in front)
+        [cols.eval_index[i], text]
+        + [repr(v) for v in values]
+        + [cols.source[i], cols.iteration[i]]
+        for i, text, values in zip(
+            front, format_genotypes(cols.genotypes[front]), cols.values[front].tolist()
+        )
     ]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -641,12 +640,12 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_hypervolume(args) -> int:
-    records = _read_measurements(args.input)
-    m = len(records[0].values)
+    values = _read_measurements(args.input).values
+    m = values.shape[1]
     if m != 2:
         raise ConfigError("input", f"hypervolume needs 2 objectives, file has {m}")
     objectives = _parse_directions(args.directions, m)
-    F = oriented_values(np.array([r.values for r in records]), objectives)
+    F = oriented_values(values, objectives)
     if args.normalized:
         if args.ref is not None:
             raise ConfigError("--ref", "cannot combine with --normalized")

@@ -15,15 +15,20 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .space import Genotype, SearchSpace, format_genotype, parse_genotype
+from .space import (
+    Genotype, SearchSpace, format_genotype, format_genotypes, parse_genotype, parse_genotypes,
+)
 
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
+_JSONL_CHUNK = 256  # store rows formatted and written at once
 
 
 class StoreContractError(ValueError):
@@ -114,29 +119,6 @@ class Measurement:
     source: str
     iteration: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "eval_index": self.eval_index,
-            "genotype": format_genotype(self.genotype),
-            "values": list(self.values),
-            "source": self.source,
-            "iteration": self.iteration,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Measurement":
-        """Inverse of :meth:`to_json_obj`; raises ``ValueError`` on a non-finite value."""
-        values = tuple(float(v) for v in obj["values"])
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"non-finite objective values: {values}")
-        return cls(
-            eval_index=int(obj["eval_index"]),
-            genotype=parse_genotype(obj["genotype"]),
-            values=values,
-            source=str(obj["source"]),
-            iteration=int(obj["iteration"]),
-        )
-
 
 class EvaluationStore:
     """Append-only, deduplicating log of real objective measurements.
@@ -198,34 +180,152 @@ class EvaluationStore:
         """One sorted-keys JSON object per line, insertion order; byte-deterministic.
 
         ``extra`` maps a key to one value per record, added to that record's line.
+        Each line is ``json.dumps(obj, sort_keys=True)`` of its record.
         """
         extra = extra or {}
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w", encoding="utf-8") as fh:
-            for i, m in enumerate(self._records):
-                obj = m.to_json_obj() | {key: column[i] for key, column in extra.items()}
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            for lo in range(0, len(self._records), _JSONL_CHUNK):
+                chunk = self._records[lo : lo + _JSONL_CHUNK]
+                lines = []
+                for i, (m, text) in enumerate(
+                    zip(chunk, format_genotypes([m.genotype for m in chunk])), lo
+                ):
+                    obj = {"eval_index": m.eval_index, "genotype": text, "values": m.values,
+                           "source": m.source, "iteration": m.iteration}
+                    for key, column in extra.items():
+                        obj[key] = column[i]
+                    lines.append(encode(obj) + "\n")
+                fh.write("".join(lines))
 
 
-def read_measurements_jsonl(path: str | Path) -> list[Measurement]:
-    """Load measurements exported by :meth:`EvaluationStore.to_jsonl`.
+@dataclass(frozen=True, eq=False)
+class MeasurementColumns:
+    """A measurement JSONL file as columns; row ``i`` of each is one line's fields."""
+
+    eval_index: list[int]
+    genotypes: np.ndarray  # (N, n) int64
+    values: np.ndarray  # (N, m) float64, finite
+    source: list[str]
+    iteration: list[int]
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def measurements(self) -> list[Measurement]:
+        """One :class:`Measurement` per row."""
+        return list(map(Measurement, self.eval_index, map(tuple, self.genotypes.tolist()),
+                        map(tuple, self.values.tolist()), self.source, self.iteration))
+
+
+# Keys in the order a line is checked; the first missing one is named.
+_KEYS = ("values", "eval_index", "genotype", "source", "iteration")
+
+
+def _types(column) -> set[type]:
+    return set(map(type, column))
+
+
+def _columns(values, eval_index, genotype, source, iteration) -> MeasurementColumns:
+    """Check and convert the fields of every line a column at a time.
 
     Raises:
-        ValueError: ``path:line: ...`` on a malformed line, a missing key or
-            a bad genotype.
+        TypeError, ValueError, OverflowError: some line breaks the schema;
+            :func:`_name_first_bad_line` says which and how.
     """
-    out = []
+    if not (
+        _types(values) <= {list}
+        and _types(eval_index) | _types(iteration) <= {int}
+        and _types(genotype) | _types(source) <= {str}
+        and _types(chain.from_iterable(values)) <= {int, float}
+    ):
+        raise TypeError("a field has the wrong JSON type")
+    m = len(values[0]) if values else 0
+    if values and (m == 0 or len(set(map(len, values))) > 1):
+        raise ValueError("an objective count is 0 or differs")
+    V = np.fromiter(chain.from_iterable(values), np.float64, len(values) * m)
+    if not np.isfinite(V).all():
+        raise ValueError("non-finite objective value")
+    G = parse_genotypes(genotype)
+    return MeasurementColumns(
+        list(eval_index), G, V.reshape(len(values), m), list(source), list(iteration)
+    )
+
+
+def _check_line(obj, shape: tuple[int, int] | None) -> tuple[int, int]:
+    """One line's :func:`_columns` checks; return its (genotype length,
+    objective count), which must equal ``shape``, the first line's."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in _KEYS:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+    values = obj["values"]
+    if type(values) is not list or not values or not _types(values) <= {int, float}:
+        raise ValueError(f"values must be a non-empty list of numbers, got {values!r}")
+    try:
+        values = tuple(map(float, values))
+    except OverflowError as exc:
+        raise ValueError(f"objective value: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite objective values: {values}")
+    for key, want, what in (("eval_index", int, "an int"), ("genotype", str, "a string"),
+                            ("source", str, "a string"), ("iteration", int, "an int")):
+        if type(obj[key]) is not want:
+            raise ValueError(f"{key} must be {what}, got {obj[key]!r}")
+    n, m = len(parse_genotype(obj["genotype"])), len(values)
+    if shape is not None and n != shape[0]:
+        raise ValueError(f"genotype length {n} != {shape[0]} of the first line")
+    if shape is not None and m != shape[1]:
+        raise ValueError(f"{m} objective values != {shape[1]} of the first line")
+    return n, m
+
+
+def _name_first_bad_line(path: str | Path) -> None:
+    """Re-scan ``path`` line by line; raise ``ValueError`` naming the first
+    line that is not JSON or breaks the schema, if there is one."""
+    shape = None
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(Measurement.from_json_obj(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{ln}: missing key {exc}") from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-    return out
+            if line:
+                try:
+                    shape = _check_line(json.loads(line), shape)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {exc}") from exc
+
+
+def read_measurement_columns(path: str | Path) -> MeasurementColumns:
+    """Load a file written by :meth:`EvaluationStore.to_jsonl` as columns.
+
+    Every non-blank line must be a JSON object with int ``eval_index`` and
+    ``iteration``, a string ``source``, a ``genotype`` string of ASCII
+    decimal indices joined by dashes, and ``values``, a non-empty list of
+    finite numbers; every line has the first line's genotype length and
+    objective count. Other keys are ignored. Each line is parsed by one
+    ``json.loads``; the fields are checked and converted a column at a time.
+
+    Raises:
+        ValueError: ``path:line: ...`` naming the first line that is not
+            JSON or breaks the schema.
+    """
+    fields = itemgetter(*_KEYS)
+    rows = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rows.append(fields(json.loads(line)))
+        return _columns(*(list(zip(*rows)) or [()] * len(_KEYS)))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _name_first_bad_line(path)
+        raise
+
+
+def read_measurements_jsonl(path: str | Path) -> list[Measurement]:
+    """:func:`read_measurement_columns` as one :class:`Measurement` per line."""
+    return read_measurement_columns(path).measurements()
 
 
 def normalize_latency(values) -> np.ndarray:
@@ -473,24 +573,23 @@ class TabularEvaluator:
             if not header or header[0] != "genotype" or len(header) < 2:
                 raise ValueError(f"{path}: header must be genotype,obj_1,...,obj_m")
             m = len(header) - 1
-            where, raw, values = [], [], []
+            where, values = [], []
             for ln, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != m + 1:
                     raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
                 try:
-                    raw.append(parse_genotype(row[0]))
                     values.append(tuple(float(v) for v in row[1:]))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from exc
                 where.append((ln, row[0]))
         try:
-            G = space.validate_batch(raw)
+            G = space.validate_batch(parse_genotypes(text for _, text in where))
         except ValueError:
-            for (ln, _), g in zip(where, raw):  # name the first bad line
+            for ln, text in where:  # name the first bad line
                 try:
-                    space.validate(g)
+                    space.validate(parse_genotype(text))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from exc
             raise
@@ -520,5 +619,6 @@ class TabularEvaluator:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["genotype"] + [f"obj_{k + 1}" for k in range(self.n_objectives)])
-            for g in sorted(self._table):
-                writer.writerow([format_genotype(g)] + [repr(v) for v in self._table[g]])
+            keys = sorted(self._table)
+            for g, text in zip(keys, format_genotypes(keys)):
+                writer.writerow([text] + [repr(v) for v in self._table[g]])

@@ -28,18 +28,117 @@ class MalformedGenotypeError(ValueError):
     """Raised when a genotype does not fit the space it is used with."""
 
 
+_DASH, _NEWLINE, _ZERO = b"-\n0"
+_MAX_DIGITS = 18  # every 18-digit index fits int64
+_CHUNK_ROWS = 256  # rows coded at once, which bounds the codec's temporaries
+
+
+def _format_rows(G: np.ndarray) -> list[str]:
+    """:func:`format_genotypes` of one chunk of a non-negative int64 array."""
+    n, G = G.shape[1], G.ravel()
+    width = np.ones(G.shape, dtype=np.uint8)  # decimal digits per index
+    for k in range(1, len(str(G.max()))):
+        width += G >= 10**k
+    # Every index is followed by one separator: a dash, or a newline after a row's last.
+    seps = np.cumsum(width + 1, dtype=np.int64) - 1
+    buf = np.full(seps[-1] + 1, _DASH, dtype=np.uint8)
+    buf[seps[n - 1 :: n]] = _NEWLINE
+    for k in range(int(width.max())):  # k-th digit from the right
+        on = np.flatnonzero(width > k) if k else slice(None)
+        buf[seps[on] - 1 - k] = _ZERO + G[on] // 10**k % 10
+    return buf.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def format_genotypes(genotypes) -> list[str]:
+    """Render each row of a ``(B, n)`` array of non-negative indices as
+    dash-separated option indices, e.g. ``0-2-1``, a chunk of rows at a time."""
+    G = np.asarray(genotypes, dtype=np.int64)
+    if G.size == 0:
+        return [""] * len(G)
+    if G.min() < 0:
+        raise MalformedGenotypeError(f"index {G.min()} is negative")
+    out: list[str] = []
+    for lo in range(0, len(G), _CHUNK_ROWS):
+        out += _format_rows(G[lo : lo + _CHUNK_ROWS])
+    return out
+
+
+def _parse_rows(texts: list[str]) -> np.ndarray | None:
+    """:func:`parse_genotypes` of one chunk of well-formed texts; ``None`` if any is not."""
+    buf = "\n".join(texts) + "\n"
+    if not buf.isascii():
+        return None
+    buf = np.frombuffer(buf.encode("ascii"), dtype=np.uint8)
+    stops = np.flatnonzero(buf - _ZERO >= 10)  # one past each index; bytes below '0' wrap
+    row_end = buf[stops] == _NEWLINE
+    n = len(stops) // len(texts)
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    width = stops - starts
+    if not (
+        len(stops) == n * len(texts)
+        and np.count_nonzero(row_end) == len(texts)
+        and row_end[n - 1 :: n].all()
+        and (row_end | (buf[stops] == _DASH)).all()
+        and 1 <= width.min() <= width.max() <= _MAX_DIGITS
+    ):
+        return None
+    G = (buf[starts] - _ZERO).astype(np.int64)
+    for k in range(1, int(width.max())):  # Horner, left to right over digit columns
+        on = np.flatnonzero(width > k)
+        G[on] = G[on] * 10 + (buf[starts[on] + k] - _ZERO)
+    return G.reshape(len(texts), n)
+
+
+def parse_genotypes(texts) -> np.ndarray:
+    """Inverse of :func:`format_genotypes`: a ``(B, n)`` int64 array.
+
+    Each text must be ``n`` runs of at most 18 ASCII decimal digits joined by
+    single dashes, as the formatter writes them. Signs, spaces, underscores
+    and other scripts' digits are refused.
+
+    Raises:
+        MalformedGenotypeError: naming the first bad text, and its row if
+            ``B > 1``.
+    """
+    texts = list(texts)
+    G = np.empty((0, 0), dtype=np.int64)
+    for lo in range(0, len(texts), _CHUNK_ROWS):
+        part = _parse_rows(texts[lo : lo + _CHUNK_ROWS])
+        if part is None or (lo and part.shape[1] != G.shape[1]):
+            raise _first_bad_row(texts)
+        if not lo:
+            G = np.empty((len(texts), part.shape[1]), dtype=np.int64)
+        G[lo : lo + len(part)] = part
+    return G
+
+
+def _first_bad_row(texts: list[str]) -> MalformedGenotypeError:
+    """The error :func:`parse_genotypes` raises: texts are parsed one at a
+    time until one is malformed or its length differs from row 0's."""
+    where = "row {}: " if len(texts) > 1 else ""
+    n = None
+    for r, text in enumerate(texts):
+        g = _parse_rows([text])
+        if g is None:
+            return MalformedGenotypeError(
+                f"{where.format(r)}unparseable genotype string: {text!r}"
+            )
+        n = n or g.shape[1]
+        if g.shape[1] != n:
+            return MalformedGenotypeError(
+                f"{where.format(r)}genotype length {g.shape[1]} != {n} of row 0"
+            )
+    raise AssertionError("unreachable: every text parses alone at one length")
+
+
 def format_genotype(genotype: Genotype) -> str:
-    """Render a genotype as dash-separated option indices, e.g. ``0-2-1``."""
-    return "-".join(str(i) for i in genotype)
+    """One-row view of :func:`format_genotypes`."""
+    return format_genotypes([genotype])[0]
 
 
 def parse_genotype(text: str) -> Genotype:
-    """Inverse of :func:`format_genotype`."""
-    parts = text.strip().split("-")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise MalformedGenotypeError(f"unparseable genotype string: {text!r}") from exc
+    """One-row view of :func:`parse_genotypes`."""
+    return tuple(parse_genotypes([text])[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from linas_moo.objective import (
     UnknownConfigurationError,
     normalize_latency,
     oriented_values,
+    read_measurement_columns,
     read_measurements_jsonl,
 )
-from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace
+from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace, builtin_space
 
 
 def two_objectives():
@@ -152,6 +154,169 @@ class TestEvaluationStore:
             "source": "alg",
             "values": [75.5, 12.25],
         }
+
+
+def reference_jsonl(store, extra=None) -> str:
+    """The writer's bytes by definition: ``json.dumps(obj, sort_keys=True)`` per record."""
+    extra = extra or {}
+    return "".join(
+        json.dumps(
+            {
+                "eval_index": m.eval_index,
+                "genotype": "-".join(map(str, m.genotype)),
+                "values": list(m.values),
+                "source": m.source,
+                "iteration": m.iteration,
+            }
+            | {key: column[i] for key, column in extra.items()},
+            sort_keys=True,
+        )
+        + "\n"
+        for i, m in enumerate(store)
+    )
+
+
+def landscape_store(size: int, seed: int = 0) -> EvaluationStore:
+    """``size`` distinct mobilenetv3 configurations measured on a synthetic landscape."""
+    space = builtin_space("mobilenetv3")
+    land = SyntheticLandscape.from_seed(space, seed=seed)
+    store = EvaluationStore(space, two_objectives())
+    rng = np.random.default_rng(seed)
+    while len(store) < size:
+        G = space.sample_batch(rng, size - len(store))
+        store.insert_batch(G, land.evaluate_batch(G), source="nsga2", iteration=len(store) % 7)
+    return store
+
+
+class TestJsonlCodec:
+    GOOD = {"eval_index": 2, "genotype": "0-1-0-0", "values": [1.0, 2.0], "source": "t",
+            "iteration": 0}
+
+    def written(self, tmp_path, *extra_lines: str):
+        """A one-row store file with ``extra_lines`` appended from line 2 on."""
+        store = EvaluationStore(make_masked_space(), two_objectives())
+        store.insert_batch([(1, 2, 1, 0)], [(75.5, 12.25)], source="alg")
+        path = tmp_path / "bad.jsonl"
+        store.to_jsonl(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in extra_lines)
+        return path
+
+    def test_writer_bytes_equal_per_row_json_dumps(self, tmp_path):
+        wide = SearchSpace(
+            "wide", (DesignVariable("x", tuple(range(10_001))), DesignVariable("y", (0, 1, 2)))
+        )
+        store = EvaluationStore(wide, two_objectives())
+        special = [-0.0, 5e-324, 1e-300, 1e16, 1.7976931348623157e308, -1.5, 75.0]
+        store.insert_batch(
+            [(i, i % 3) for i in range(len(special))], [(v, -v) for v in special],
+            source='say "hi" \\ back', iteration=1,
+        )
+        store.insert_batch([(10_000, 2), (999, 1)], [(1.0, 2.0), (3.0, 4.0)],
+                           source="naïve ☃\ttab", iteration=2)
+        rng = np.random.default_rng(4)  # more rows than one write chunk
+        store.insert_batch(
+            np.column_stack([rng.integers(0, 10_001, 700), rng.integers(0, 3, 700)]),
+            rng.normal(size=(700, 2)) * 10.0 ** rng.integers(-300, 300, size=(700, 1)),
+            source="plain",
+        )
+        n = len(store)
+        extra = {
+            "a": [None if i % 2 else f"é{i}" for i in range(n)],
+            "latency_normalized": [i / 7 for i in range(n)],
+            "zz": [[i, {"k": -0.0}] for i in range(n)],
+        }
+        for ext in (None, extra):
+            path = tmp_path / "w.jsonl"
+            store.to_jsonl(path, ext)
+            assert path.read_text(encoding="utf-8") == reference_jsonl(store, ext)
+        assert read_measurements_jsonl(path) == list(store)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"values": "75"}, "values must be a non-empty list of numbers, got '75'"),
+            ({"values": []}, "values must be a non-empty list of numbers, got []"),
+            ({"values": [True, 1.0]}, "values must be a non-empty list of numbers"),
+            ({"values": [1.0, None]}, "values must be a non-empty list of numbers"),
+            ({"values": [10**400, 1.0]}, "objective value: int too large"),
+            ({"eval_index": True}, "eval_index must be an int, got True"),
+            ({"eval_index": 2.7}, "eval_index must be an int, got 2.7"),
+            ({"iteration": 1.0}, "iteration must be an int, got 1.0"),
+            ({"iteration": False}, "iteration must be an int, got False"),
+            ({"source": 3}, "source must be a string, got 3"),
+            ({"genotype": 10}, "genotype must be a string, got 10"),
+            ({"genotype": "+1-1-0-0"}, "unparseable genotype string: '+1-1-0-0'"),
+            ({"genotype": "0-1_0-0-0"}, "unparseable genotype string: '0-1_0-0-0'"),
+            ({"genotype": "0-\u0661-0-0"}, "unparseable genotype string"),
+            ({"genotype": " 0-1-0-0"}, "unparseable genotype string"),
+            ({"genotype": "0-1-0"}, "genotype length 3 != 4 of the first line"),
+            ({"values": [1.0, 2.0, 3.0]}, "3 objective values != 2 of the first line"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_reader_accepts_only_what_the_writer_writes(self, tmp_path, change, message):
+        path = self.written(tmp_path, json.dumps(self.GOOD | change))
+        with pytest.raises(ValueError, match=re.escape(f"bad.jsonl:2: {message}")):
+            read_measurements_jsonl(path)
+
+    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"text"', "str"), ("7", "int")])
+    def test_line_must_be_an_object(self, tmp_path, line, kind):
+        path = self.written(tmp_path, line)
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: expected a JSON object, got {kind}"):
+            read_measurements_jsonl(path)
+
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path):
+        bad_schema = json.dumps(self.GOOD | {"eval_index": 2.5})
+        path = self.written(tmp_path, bad_schema, "{not json")
+        with pytest.raises(ValueError, match="bad.jsonl:2: eval_index"):
+            read_measurements_jsonl(path)
+        path = self.written(tmp_path, "{not json", bad_schema)
+        with pytest.raises(ValueError, match="bad.jsonl:2: Expecting property name"):
+            read_measurements_jsonl(path)
+
+    @pytest.mark.parametrize("change", [{"genotype": "0-1_0-0"}, {"values": [1.0]}])
+    def test_bad_line_named_deep_in_a_large_file(self, tmp_path, change):
+        store = landscape_store(2000)
+        path = tmp_path / "big.jsonl"
+        store.to_jsonl(path)
+        lines = path.read_text().splitlines()
+        lines[1499] = json.dumps(json.loads(lines[1499]) | change, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"big.jsonl:1500: "):
+            read_measurements_jsonl(path)
+
+    def test_blank_lines_and_crlf_count_as_lines(self, tmp_path):
+        store = landscape_store(40)
+        path = tmp_path / "crlf.jsonl"
+        store.to_jsonl(path)
+        lines = []
+        for i, line in enumerate(path.read_text().splitlines()):
+            lines += [line, "", "  \t"] if i % 3 == 0 else [line]
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert read_measurements_jsonl(path) == list(store)
+        lines[20] = "{not json"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        with pytest.raises(ValueError, match="crlf.jsonl:21: Expecting property name"):
+            read_measurements_jsonl(path)
+
+    def test_large_round_trip_and_columns(self, tmp_path):
+        store = landscape_store(20_000, seed=3)
+        path = tmp_path / "big.jsonl"
+        store.to_jsonl(path)
+        assert read_measurements_jsonl(path) == list(store)
+        cols = read_measurement_columns(path)
+        assert cols.genotypes.dtype == np.int64 and cols.values.dtype == np.float64
+        assert np.array_equal(cols.genotypes, [m.genotype for m in store])
+        assert np.array_equal(cols.values, store.values_matrix())
+        assert cols.eval_index == list(range(1, 20_001))
+        assert cols.iteration == [m.iteration for m in store]
+
+    def test_empty_file_reads_as_no_rows(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n \n")
+        assert read_measurements_jsonl(path) == []
+        assert len(read_measurement_columns(path)) == 0
 
 
 class TestNormalizeLatency:
@@ -416,6 +581,21 @@ class TestTabularEvaluator:
         with pytest.raises(
             ValueError, match=r"bad.csv:3: position 1 \(b\): index 3 outside 0..2"
         ):
+            TabularEvaluator.from_csv(path, space)
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("+1-0-0", "unparseable genotype string: '+1-0-0'"),
+            ("1_0-0-0", "unparseable genotype string: '1_0-0-0'"),
+            ("0-0", "position 2 (c): genotype length 2 != 3 variables"),
+        ],
+    )
+    def test_csv_genotype_cells_use_the_strict_codec(self, tmp_path, cell, message):
+        space = make_free_space()
+        path = tmp_path / "bad.csv"
+        path.write_text(f"genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n{cell},1.0,2.0\n1-0-0,1.0,2.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad.csv:3: {message}")):
             TabularEvaluator.from_csv(path, space)
 
     def test_duplicate_csv_row_raises(self, tmp_path):

@@ -19,7 +19,9 @@ from linas_moo.space import (
     SpaceValidationError,
     builtin_space,
     format_genotype,
+    format_genotypes,
     parse_genotype,
+    parse_genotypes,
 )
 
 # Closed forms computed by hand, independent of SearchSpace.cardinality:
@@ -128,6 +130,49 @@ class TestGenotypeChecks:
         assert parse_genotype("0-2-1") == (0, 2, 1)
         with pytest.raises(MalformedGenotypeError):
             parse_genotype("0-x-1")
+
+
+class TestGenotypeCodec:
+    """The batch genotype text codec against per-row ``str``/``int`` references."""
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+    def test_batch_matches_per_row_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        G = rng.integers(0, 10 ** rng.integers(1, 13, size=(rows, 1)), size=(rows, 7))
+        G[rng.random(G.shape) < 0.3] = 0
+        G[0, 0] = 10**12
+        texts = format_genotypes(G)
+        assert texts == ["-".join(map(str, row)) for row in G.tolist()]
+        assert parse_genotypes(texts).tolist() == [[int(t) for t in x.split("-")] for x in texts]
+        assert parse_genotypes(texts).dtype == np.int64
+
+    def test_one_row_views(self):
+        G = np.array([[0, 12, 3], [4, 0, 999_999_999_999]])
+        assert [format_genotype(tuple(g)) for g in G.tolist()] == format_genotypes(G)
+        assert [parse_genotype(t) for t in format_genotypes(G)] == list(map(tuple, G.tolist()))
+        assert format_genotypes(np.empty((0, 3), dtype=np.int64)) == []
+        assert parse_genotypes([]).shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "1-", "-1", "1--2", "+2-1", "1_0-1", "\u0661-1", " 1-2", "1-2 ", "1\n2",
+         "1.0-2", "1-2-", "1234567890123456789-1"],
+    )
+    def test_only_ascii_digit_runs_parse(self, text):
+        with pytest.raises(MalformedGenotypeError, match="unparseable genotype string"):
+            parse_genotype(text)
+        message = f"row 2: unparseable genotype string: {text!r}"
+        with pytest.raises(MalformedGenotypeError, match=re.escape(message)):
+            parse_genotypes(["0-1", "2-3", text, "4-5"])
+
+    def test_lengths_must_agree(self):
+        texts = ["1-2"] * 300 + ["1-2-3"]  # the odd row sits in the second chunk
+        with pytest.raises(MalformedGenotypeError, match="row 300: genotype length 3 != 2 of row"):
+            parse_genotypes(texts)
+
+    def test_negative_index_is_not_formatted(self):
+        with pytest.raises(MalformedGenotypeError, match="index -1 is negative"):
+            format_genotype((0, -1))
 
 
 class TestCanonicalization:
