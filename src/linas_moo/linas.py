@@ -17,15 +17,13 @@ import numpy as np
 from .moea import (
     EaConfig,
     SpaceExhaustedError,
-    _measure_new,
+    _measure_batch,
     nsga2_core,
     rank_and_crowd,
     sample_fresh_into_store,
     search_rng,
 )
-from .objective import (
-    EvaluationStore, ObjectiveSpec, _check_genotypes, _check_values, oriented_values,
-)
+from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes, oriented_values
 from .predictor import PREDICTOR_KINDS, featurize_batch, featurize_canonical, make_predictor
 from .space import Genotype, SearchSpace
 
@@ -34,28 +32,20 @@ LINAS_SOURCE = "linas"
 
 @dataclass(frozen=True, eq=False)
 class PredictorEvaluator:
-    """Evaluator facade over fitted per-objective predictors.
+    """Evaluator over fitted per-objective predictors: the inner search's stand-in
+    for the real evaluator.
 
-    Returns raw natural-direction predictions, exactly what the underlying
-    models produce, so it drops into any search routine in place of a real
-    evaluator.
+    ``evaluate_batch`` makes the store's genotype check (index range,
+    canonical form) before any model runs, then returns the models' raw
+    natural-direction predictions for the checked rows.
     """
 
     space: SearchSpace
     models: tuple
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return np.column_stack([m.predict(X) for m in self.models])
-
     def evaluate_batch(self, genotypes) -> np.ndarray:
-        return self._predict(featurize_batch(self.space, genotypes))
-
-    def measure(self, genotypes, generation: int = 0) -> dict[Genotype, tuple[float, ...]]:
-        """:func:`nsga2_core`'s callback, no store: check genotypes, predict, check values."""
-        G = _check_genotypes(self.space, genotypes)
-        V = self._predict(featurize_canonical(self.space, G))
-        G, V = _check_values(G, V, len(self.models), rejectable=True)
-        return dict(zip(map(tuple, G.tolist()), map(tuple, V.tolist())))
+        X = featurize_canonical(self.space, _check_genotypes(self.space, genotypes))
+        return np.column_stack([m.predict(X) for m in self.models])
 
 
 @dataclass(frozen=True)
@@ -179,8 +169,9 @@ def run_linas(
     plain random search with this seed would use); every later iteration
     measures the candidates promoted by the previous inner search, topping
     up with uniform samples when promotion falls short or a candidate is
-    rejected. Inner searches run :func:`nsga2_core` on the predictors with no
-    store, so the real store grows by exactly ``population_size`` per iteration.
+    rejected. Inner searches run :func:`nsga2_core` over a
+    :class:`PredictorEvaluator` with no store, so the real store grows by
+    exactly ``population_size`` per iteration.
 
     Raises:
         SpaceExhaustedError: if the space cannot supply the total budget of
@@ -198,9 +189,11 @@ def run_linas(
 
     promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
-        fresh = len(_measure_new(store, evaluator, promoted, LINAS_SOURCE, it))
+        if promoted:
+            G = np.array(promoted, dtype=np.int64)
+            _measure_batch(evaluator, G, len(objectives), store, LINAS_SOURCE, it)
         sample_fresh_into_store(
-            space, evaluator, store, rng, config.population_size - fresh,
+            space, evaluator, store, rng, config.population_size * it - len(store),
             source=LINAS_SOURCE, iteration=it,
         )
 
@@ -213,7 +206,7 @@ def run_linas(
             seed=int(rng.integers(0, 2**63)),
             max_generations=config.inner_evaluations // config.population_size,
         )
-        inner_G, inner_F, _ = nsga2_core(space, surrogate.measure, objectives, inner_cfg, {})
+        inner_G, inner_F, _ = nsga2_core(space, surrogate, objectives, inner_cfg)
         promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
 
     return LinasOutcome(store, (inner_G, oriented_values(inner_F, objectives)))

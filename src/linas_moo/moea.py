@@ -1,12 +1,13 @@
 """NSGA-II over integer genotypes, plus a uniform random-search baseline.
 
-Both searches measure through an :class:`EvaluationStore`, so a duplicate
-offspring reuses the stored measurement without consuming budget and the
-budget counts distinct configurations. :func:`nsga2_core` is the NSGA-II
-loop itself, on arrays and a dedup dict: :func:`run_nsga2` wraps it around
-a store, and the predictor-only inner search of LINAS calls it directly.
-Objectives are handled internally in minimization convention; evaluators
-stay in natural directions.
+Every search measures through its evaluator's ``evaluate_batch``. The real
+searches keep an :class:`EvaluationStore`, so a duplicate offspring reuses
+the stored measurement without consuming budget and the budget counts
+distinct configurations. :func:`nsga2_core` is the NSGA-II loop itself, on
+arrays and its own dedup dict: :func:`run_nsga2` hands it a store to fill,
+and the predictor-only inner search of LINAS runs it with none. Objectives
+are handled internally in minimization convention; evaluators stay in
+natural directions.
 
 An evaluator has one method, ``evaluate_batch(G)``: given a ``(B, n)`` int64
 array of genotypes, it returns a ``(B, m)`` float array of raw values. An all-NaN
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
@@ -216,25 +217,19 @@ def mutate(
     return np.where(hits, replacement, G)
 
 
-def _measure_new(
-    store: EvaluationStore,
-    evaluator,
-    genotypes,
-    source: str,
-    iteration: int,
-) -> list[Measurement]:
-    """Measure distinct unseen canonical genotypes in one batch.
+def _measure_batch(
+    evaluator, G: np.ndarray, m: int, store: EvaluationStore | None, source: str, iteration: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a ``(k, n)`` int64 batch once and check its ``(k, m)`` values by row position.
 
-    ``genotypes`` (rows or a ``(k, n)`` array) reach the evaluator as one ``(k, n)``
-    int64 array. Stores every accepted row and returns the new measurements in
-    order. Rejected rows are skipped; other non-finite rows raise :class:`StoreContractError`.
+    Returns the positions of the accepted rows and their values. All-NaN rows
+    are rejections, skipped; other non-finite rows raise :class:`StoreContractError`.
+    Given a store, the accepted rows are inserted tagged ``source`` and ``iteration``.
     """
-    if len(genotypes) == 0:
-        return []
-    G = np.asarray(genotypes, dtype=np.int64)
-    values = evaluator.evaluate_batch(G)
-    G, V = _check_values(G, values, len(store.objectives), rejectable=True)
-    return store.insert_batch(G, V, source=source, iteration=iteration)
+    kept, V = _check_values(np.arange(len(G)), evaluator.evaluate_batch(G), m, rejectable=True)
+    if store is not None:
+        store.insert_batch(G if len(kept) == len(G) else G[kept], V, source=source, iteration=iteration)
+    return kept, V
 
 
 def draw_unseen(
@@ -275,22 +270,22 @@ def sample_fresh_into_store(
     Each round measures, in one batch, as many :func:`draw_unseen` configs
     as are still missing. Duplicates of stored configs and evaluator-rejected
     configs are skipped without consuming budget; both count against one
-    ``_ATTEMPT_CAP``, which resets whenever the store grows.
+    ``_ATTEMPT_CAP``, which resets whenever the store grows. Returns the
+    new measurements in order.
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
     """
-    new: list[Measurement] = []
+    start, target = len(store), len(store) + count
     misses = 0
-    while len(new) < count:
-        batch, misses = draw_unseen(space, rng, count - len(new), store, misses)
+    while len(store) < target:
+        batch, misses = draw_unseen(space, rng, target - len(store), store, misses)
         batch = np.array(batch, dtype=np.int64)  # frees the tuples before measuring
-        measured = _measure_new(store, evaluator, batch, source, iteration)
-        misses = 0 if measured else misses + len(batch)
+        kept, _ = _measure_batch(evaluator, batch, len(store.objectives), store, source, iteration)
+        misses = 0 if len(kept) else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(f"no acceptable config found after {misses} samples")
-        new.extend(measured)
-    return new
+    return list(islice(store, start, None))
 
 
 def run_random(
@@ -347,24 +342,26 @@ def environmental_selection(
 
 def nsga2_core(
     space: SearchSpace,
-    measure,
+    evaluator,
     objectives: Sequence[ObjectiveSpec],
     config: EaConfig,
-    known: dict[Genotype, tuple[float, ...]],
+    store: EvaluationStore | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Elitist NSGA-II on arrays until the budget (or generation cap) is hit.
 
-    ``measure(genotypes, generation)`` takes a ``(k, n)`` int64 array of
-    distinct canonical rows not in ``known``, in child order (never empty),
-    and returns ``{genotype: raw values}`` for those it accepted; they join
-    ``known``, the dedup dict of everything measured. Known offspring cost
-    no budget; new ones past the budget are dropped. Returns the final
-    genotypes, minimized objectives and generation count.
+    Each batch, ``evaluator.evaluate_batch`` gets the distinct canonical rows
+    not yet measured, in child order, as one ``(k, n)`` int64 array, never
+    empty and cut at the budget left. Accepted rows join the run's dedup dict
+    and, given a ``store``, are inserted tagged ``"nsga2"`` and their
+    generation. Known offspring cost no budget; rejected and overflow
+    children are dropped. Returns the final genotypes, minimized objectives
+    and generation count.
     """
     rng = search_rng(config.seed)
     pop = config.population_size
     counts = space.option_counts
     budget_left = config.max_evaluations
+    known: dict[Genotype, tuple[float, ...]] = {}
 
     def measured(rows: np.ndarray, generation: int, limit: int) -> tuple[np.ndarray, list, int]:
         # Measures the first ``limit`` unseen distinct rows; returns known rows, values, count.
@@ -374,13 +371,21 @@ def nsga2_core(
             if g not in known:
                 first.setdefault(g, i)
         fresh = list(first.values())[:limit]
-        new = measure(rows[fresh], generation) if fresh else {}
-        known.update(new)
+        new = 0
+        if fresh:
+            kept, V = _measure_batch(
+                evaluator, rows[fresh], len(objectives), store, "nsga2", generation
+            )
+            new_keys = list(first)[:limit]
+            if len(kept) < len(new_keys):  # some rejected
+                new_keys = [new_keys[i] for i in kept.tolist()]
+            known.update(zip(new_keys, map(tuple, V.tolist())))
+            new = len(kept)
         values = list(map(known.get, keys))
         keep = [v is not None for v in values]
         if not all(keep):  # rejected, or past the budget
             rows, values = rows[keep], list(compress(values, keep))
-        return rows, values, len(new)
+        return rows, values, new
 
     # Initial population: uniform draws; duplicates allowed and resolved
     # through ``known``. Rejected configs are resampled. A population never
@@ -443,10 +448,5 @@ def run_nsga2(
 ) -> SearchOutcome:
     """:func:`nsga2_core` over ``evaluator`` and a new store; rows are tagged ``"nsga2"``."""
     store = EvaluationStore(space, objectives)
-
-    def measure(genotypes, generation):
-        new = _measure_new(store, evaluator, genotypes, "nsga2", generation)
-        return {m.genotype: m.values for m in new}
-
-    G, F, generations = nsga2_core(space, measure, objectives, config, {})
+    G, F, generations = nsga2_core(space, evaluator, objectives, config, store)
     return SearchOutcome(store, (G, oriented_values(F, objectives)), generations)

@@ -86,8 +86,8 @@ def _check_genotypes(space: SearchSpace, genotypes) -> np.ndarray:
 
 
 def _check_values(G: np.ndarray, values, m: int, rejectable: bool = False):
-    """Check the ``(len(G), m)`` values of genotypes ``G``; return both, less rejected rows:
-    a non-finite row is refused, unless ``rejectable`` and all NaN (a rejection, dropped)."""
+    """Check the ``(len(G), m)`` values of rows ``G`` (genotypes or positions); return both,
+    less rejected rows: a non-finite row is refused, unless ``rejectable`` and all NaN."""
     V = np.asarray(values, dtype=np.float64)
     if V.shape != (len(G), m):
         raise StoreContractError(f"expected values of shape {(len(G), m)}, got {V.shape}")
@@ -163,12 +163,13 @@ class EvaluationStore:
                 arity, or non-finite values.
         """
         G, V = _check_values(_check_genotypes(self.space, genotypes), values, len(self.objectives))
-        start = len(self._records)
+        records, position = self._records, self._position
+        start = len(records)
         for g, vals in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
-            if g not in self._position:
-                self._position[g] = n = len(self._records)
-                self._records.append(Measurement(n + 1, g, vals, source, iteration))
-        return self._records[start:]
+            n = len(records)
+            if position.setdefault(g, n) == n:  # one hash per row
+                records.append(Measurement(n + 1, g, vals, source, iteration))
+        return records[start:]
 
     def values_matrix(self) -> np.ndarray:
         """Raw values as an ``(N, m)`` array in insertion order."""
@@ -580,9 +581,12 @@ class TabularEvaluator:
                 if len(row) != m + 1:
                     raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
                 try:
-                    values.append(tuple(float(v) for v in row[1:]))
+                    vals = tuple(float(v) for v in row[1:])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{ln}: {exc}") from exc
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"{path}:{ln}: non-finite values {vals}")
+                values.append(vals)
                 where.append((ln, row[0]))
         try:
             G = space.validate_batch(parse_genotypes(text for _, text in where))

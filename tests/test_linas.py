@@ -132,79 +132,132 @@ def fitted_surrogate(space, land, n=40, seed=0):
     return PredictorEvaluator(space, tuple(RidgeModel().fit(X, Y[:, j]) for j in range(2)))
 
 
+class RejectFirstOption:
+    """A stand-in predictor: the feature sum, NaN where the first index is 0."""
+
+    def predict(self, X):
+        return np.where(X[:, 0] == 0, np.nan, X.sum(axis=1))
+
+
+class RecordingEvaluator:
+    """Wraps an evaluator and keeps every batch it serves with its values."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def evaluate_batch(self, G):
+        V = self.inner.evaluate_batch(G)
+        self.batches.append((G.copy(), V.copy()))
+        return V
+
+    def accepted_rows(self):
+        """Every served row that is not all NaN, in order: genotypes, values."""
+        G = np.concatenate([g for g, _ in self.batches])
+        V = np.concatenate([v for _, v in self.batches])
+        keep = ~np.isnan(V).all(axis=1)
+        return G[keep], V[keep]
+
+
 class TestInnerMeasure:
-    """``PredictorEvaluator.measure`` makes the store's batch checks without a store."""
+    """The inner search measures through ``PredictorEvaluator.evaluate_batch``
+    and ``nsga2_core``'s value check, the store's checks without a store."""
 
     def test_returns_predictions_keyed_by_genotype(self):
+        # Each population row keeps the prediction of the batch that measured it.
         space, land = small_problem()
-        surrogate = fitted_surrogate(space, land)
-        rng = np.random.default_rng(1)
-        probe = list(dict.fromkeys(space.sample_uniform(rng) for _ in range(12)))
-        got = surrogate.measure(probe, 3)
-        assert list(got) == probe
-        assert np.array_equal(np.array(list(got.values())), surrogate.evaluate_batch(probe))
+        surrogate = RecordingEvaluator(fitted_surrogate(space, land))
+        cfg = EaConfig(population_size=10, max_evaluations=200, seed=1, max_generations=8)
+        G, F, generations = nsga2_core(space, surrogate, ACC_LAT, cfg)
+        assert generations == 8
+        served = {}
+        for rows, V in surrogate.batches:
+            served.update(zip(map(tuple, rows.tolist()), map(tuple, V.tolist())))
+        expected = oriented_values([served[g] for g in map(tuple, G.tolist())], ACC_LAT)
+        assert F.tobytes() == expected.tobytes()
 
     def test_all_nan_row_is_skipped(self, free_space):
-        surrogate = PredictorEvaluator(
-            free_space, (FixedModel([1.0, np.nan, 3.0]), FixedModel([2.0, np.nan, 4.0]))
-        )
-        got = surrogate.measure([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-        assert got == {(0, 0, 0): (1.0, 2.0), (2, 0, 0): (3.0, 4.0)}
+        surrogate = PredictorEvaluator(free_space, (RejectFirstOption(), RejectFirstOption()))
+        V = surrogate.evaluate_batch([(0, 0, 0), (1, 0, 0)])
+        assert np.isnan(V[0]).all() and V[1].tolist() == [1 / 3, 1 / 3]
+        cfg = EaConfig(population_size=4, max_evaluations=12, seed=2)
+        for store in (None, EvaluationStore(free_space, ACC_LAT)):
+            recording = RecordingEvaluator(surrogate)
+            G, F, _ = nsga2_core(free_space, recording, ACC_LAT, cfg, store)
+            served = np.concatenate([rows for rows, _ in recording.batches])
+            assert (served[:, 0] == 0).any()
+            assert (G[:, 0] != 0).all() and np.isfinite(F).all()
+        rows, values = recording.accepted_rows()  # of the run with a store
+        assert (rows[:, 0] != 0).all()
+        assert list(map(tuple, rows.tolist())) == [m.genotype for m in store]
+        assert list(map(tuple, values.tolist())) == [m.values for m in store]
 
     def test_partly_non_finite_row_raises(self, free_space):
+        cfg = EaConfig(population_size=4, max_evaluations=8, seed=0)
         for bad in (np.nan, np.inf):
-            surrogate = PredictorEvaluator(free_space, (FixedModel([1.0, bad]), FixedModel([2.0, 3.0])))
+            surrogate = PredictorEvaluator(
+                free_space, (FixedModel(np.full(4, bad)), FixedModel(np.ones(4)))
+            )
             with pytest.raises(StoreContractError, match="non-finite"):
-                surrogate.measure([(0, 0, 0), (1, 0, 0)])
+                nsga2_core(free_space, surrogate, ACC_LAT, cfg)
+            store = EvaluationStore(free_space, ACC_LAT)
+            with pytest.raises(StoreContractError, match="non-finite"):
+                nsga2_core(free_space, surrogate, ACC_LAT, cfg, store)
+            assert len(store) == 0
 
     def test_range_canonical_form_and_shape_are_checked(self, free_space, masked_space):
         ones = (FixedModel(np.ones(4)), FixedModel(np.ones(4)))
         with pytest.raises(MalformedGenotypeError, match="outside"):
-            PredictorEvaluator(free_space, ones).measure([(0, 0, 0), (0, 0, 2)])
+            PredictorEvaluator(free_space, ones).evaluate_batch([(0, 0, 0), (0, 0, 2)])
         with pytest.raises(StoreContractError, match="not canonical"):
-            PredictorEvaluator(masked_space, ones).measure([(0, 1, 2, 0)])
+            PredictorEvaluator(masked_space, ones).evaluate_batch([(0, 1, 2, 0)])
 
         class ShortModel:
             def predict(self, X):
                 return np.ones(len(X) - 1)
 
+        short = PredictorEvaluator(free_space, (ShortModel(), ShortModel()))
+        cfg = EaConfig(population_size=4, max_evaluations=8, seed=0)
         with pytest.raises(StoreContractError, match="shape"):
-            PredictorEvaluator(free_space, (ShortModel(), ShortModel())).measure(
-                [(0, 0, 0), (1, 0, 0)]
-            )
+            nsga2_core(free_space, short, ACC_LAT, cfg)
 
     def test_store_wrapper_and_bare_core_agree(self):
-        # The inner search runs the bare core on ``measure``; run_nsga2 over
+        # The inner search runs the bare core on the surrogate; run_nsga2 over
         # the same surrogate and a store takes the same path step by step.
         space = builtin_space("mobilenetv3")
         surrogate = fitted_surrogate(space, SyntheticLandscape.from_seed(space, seed=0))
         cfg = EaConfig(population_size=20, max_evaluations=2_000, seed=3, max_generations=60)
         out = run_nsga2(space, surrogate, ACC_LAT, cfg)
-        known = {}
-        G, F, generations = nsga2_core(space, surrogate.measure, ACC_LAT, cfg, known)
+        recording = RecordingEvaluator(surrogate)
+        G, F, generations = nsga2_core(space, recording, ACC_LAT, cfg)
         assert generations == out.generations == 60
         out_G, out_V = out.population
         assert G.tobytes() == out_G.tobytes()
         assert F.tobytes() == oriented_values(out_V, ACC_LAT).tobytes()
-        assert list(known.items()) == [(m.genotype, m.values) for m in out.store]
+        rows, values = recording.accepted_rows()
+        assert list(map(tuple, rows.tolist())) == [m.genotype for m in out.store]
+        assert list(map(tuple, values.tolist())) == [m.values for m in out.store]
 
 
 class TestInnerMeasureInput:
-    """``measure`` takes the int64 arrays ``nsga2_core`` passes it, and checks first."""
+    """``evaluate_batch`` takes the int64 arrays ``nsga2_core`` passes it, and
+    checks genotypes before any model runs."""
 
     def test_array_and_tuple_forms_agree(self, free_space):
         space, land = small_problem()
         surrogate = fitted_surrogate(space, land)
         rng = np.random.default_rng(2)
         G = np.unique(space.sample_batch(rng, 30), axis=0)
-        got = surrogate.measure(G, 1)
-        assert got == surrogate.measure(list(map(tuple, G.tolist())), 1)
-        assert list(got) == list(map(tuple, G.tolist()))
+        got = surrogate.evaluate_batch(G)
+        assert got.shape == (len(G), 2)
+        assert got.tobytes() == surrogate.evaluate_batch(list(map(tuple, G.tolist()))).tobytes()
         rejecting = PredictorEvaluator(
             free_space, (FixedModel([1.0, np.nan, 3.0]), FixedModel([2.0, np.nan, 4.0]))
         )
         rows = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-        assert rejecting.measure(np.array(rows)) == rejecting.measure(rows)
+        assert np.array_equal(
+            rejecting.evaluate_batch(np.array(rows)), rejecting.evaluate_batch(rows), equal_nan=True
+        )
 
     def test_models_never_see_a_batch_that_fails_the_genotype_check(
         self, free_space, masked_space
@@ -215,11 +268,11 @@ class TestInnerMeasureInput:
 
         models = (Unreachable(), Unreachable())
         with pytest.raises(MalformedGenotypeError, match="outside"):
-            PredictorEvaluator(free_space, models).measure(np.array([[0, 0, 0], [0, 0, 2]]))
+            PredictorEvaluator(free_space, models).evaluate_batch(np.array([[0, 0, 0], [0, 0, 2]]))
         with pytest.raises(MalformedGenotypeError, match="length"):
-            PredictorEvaluator(free_space, models).measure([(0, 0)])
+            PredictorEvaluator(free_space, models).evaluate_batch([(0, 0)])
         with pytest.raises(StoreContractError, match="not canonical"):
-            PredictorEvaluator(masked_space, models).measure(
+            PredictorEvaluator(masked_space, models).evaluate_batch(
                 np.array([[0, 1, 0, 0], [0, 1, 2, 0]])
             )
 
@@ -227,7 +280,7 @@ class TestInnerMeasureInput:
 class TestEvaluatorInput:
     """Every search hands ``evaluate_batch`` one ``(B, n)`` int64 array."""
 
-    def test_every_search_passes_int64_arrays(self):
+    def test_every_search_passes_int64_arrays(self, monkeypatch):
         space, land = small_problem()
         batches = []
 
@@ -236,13 +289,22 @@ class TestEvaluatorInput:
                 batches.append(G)
                 return land.evaluate_batch(G)
 
+        surrogate_batches = []
+        predict = PredictorEvaluator.evaluate_batch
+
+        def recording_predict(surrogate, G):
+            surrogate_batches.append(G)
+            return predict(surrogate, G)
+
+        monkeypatch.setattr(PredictorEvaluator, "evaluate_batch", recording_predict)
         run_random(space, Recording(), ACC_LAT, 30, seed=0)
         run_nsga2(space, Recording(), ACC_LAT, EaConfig(population_size=10, max_evaluations=40))
         run_linas(space, Recording(), ACC_LAT, quick_config())
         assert len(batches) > 3
-        for G in batches:
+        assert len(surrogate_batches) > 3  # three inner searches, many batches each
+        for G in batches + surrogate_batches:
             assert isinstance(G, np.ndarray) and G.dtype == np.int64
-            assert G.ndim == 2 and G.shape[1] == space.n_variables
+            assert G.ndim == 2 and G.shape[1] == space.n_variables and len(G)
 
 
 class TestSelectBestUnique:

@@ -343,7 +343,9 @@ def crowding_reference(F):
             continue
         order = np.argsort(col, kind="stable")
         dist[order[0]] = dist[order[-1]] = math.inf
-        dist[order[1:-1]] += (col[order[2:]] - col[order[:-2]]) / (hi - lo)
+        # A gap of inf - inf, or inf over an infinite range, is nan: kept, unwarned.
+        with np.errstate(invalid="ignore"):
+            dist[order[1:-1]] += (col[order[2:]] - col[order[:-2]]) / (hi - lo)
     return dist
 
 
@@ -741,12 +743,12 @@ def reject_first_option(g):
 
 
 class TestMeasureProtocol:
-    """What ``nsga2_core`` hands ``measure``: int64 ``(k, n)`` arrays of
-    distinct, unseen, canonical rows in child order, and only when a
-    generation has such a row."""
+    """What ``nsga2_core`` hands ``evaluate_batch``: int64 ``(k, n)`` arrays of
+    distinct, unseen, canonical rows in child order, cut at the budget, and
+    only when a generation has such a row."""
 
     def record(self, monkeypatch, space, cfg, reject):
-        seen: dict = {}
+        seen: set = set()
         offered = [None]  # per generation: (fresh children, the budget's cut)
         calls = []
         real_mutate = moea.mutate
@@ -758,20 +760,21 @@ class TestMeasureProtocol:
             offered.append((fresh, fresh[: cfg.max_evaluations - len(seen)]))
             return out
 
-        def measure(rows, generation):
-            assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
-            assert rows.ndim == 2 and rows.shape[1] == space.n_variables and len(rows)
-            assert np.array_equal(space.canonicalize_batch(rows), rows)
-            keys = list(map(tuple, rows.tolist()))
-            assert len(set(keys)) == len(keys)
-            assert not any(g in seen for g in keys)
-            calls.append((generation, keys))
-            new = {g: (float(sum(g)), float(g[0])) for g in keys if not reject(g)}
-            seen.update(new)
-            return new
+        class Recording:
+            def evaluate_batch(self, rows):
+                assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+                assert rows.ndim == 2 and rows.shape[1] == space.n_variables and len(rows)
+                assert np.array_equal(space.canonicalize_batch(rows), rows)
+                keys = list(map(tuple, rows.tolist()))
+                assert len(set(keys)) == len(keys)
+                assert not any(g in seen for g in keys)
+                calls.append((len(offered) - 1, keys))  # the generation being measured
+                seen.update(g for g in keys if not reject(g))
+                nan = (math.nan, math.nan)
+                return np.array([nan if reject(g) else (float(sum(g)), float(g[0])) for g in keys])
 
         monkeypatch.setattr(moea, "mutate", recording_mutate)
-        _, _, generations = moea.nsga2_core(space, measure, ACC_LAT, cfg, {})
+        _, _, generations = moea.nsga2_core(space, Recording(), ACC_LAT, cfg)
         assert len(offered) == generations + 1
         return offered, calls
 

@@ -549,6 +549,13 @@ class TestTabularEvaluator:
         path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,oops\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
             TabularEvaluator.from_csv(path, space)
+        # A non-finite cell is named by its line, before any genotype error.
+        for cell, value in (("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")):
+            path.write_text(f"genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n1-0-0,{cell},2.0\n0-3-0,1,2\n")
+            with pytest.raises(
+                ValueError, match=re.escape(f"bad.csv:3: non-finite values ({value}, 2.0)")
+            ):
+                TabularEvaluator.from_csv(path, space)
 
     @pytest.mark.parametrize("n_rows", [3, 24])
     def test_csv_load_checks_genotypes_in_two_batch_calls(self, tmp_path, monkeypatch, n_rows):
