@@ -221,106 +221,99 @@ class MeasurementColumns:
 
 # Keys in the order a line is checked; the first missing one is named.
 _KEYS = ("values", "eval_index", "genotype", "source", "iteration")
+_fields = itemgetter(*_KEYS)
 
 
-def _types(column) -> set[type]:
-    return set(map(type, column))
+def _check(column, rule, message: str) -> None:
+    """If ``column`` breaks ``rule``, a test of a whole column, raise
+    ``ValueError(message.format(x))`` for its first item ``x`` that breaks ``rule`` alone."""
+    if not rule(column):
+        raise ValueError(message.format(next(x for x in column if not rule([x]))))
 
 
-def _columns(values, eval_index, genotype, source, iteration) -> MeasurementColumns:
-    """Check and convert the fields of every line a column at a time.
+def _columns(rows: list[tuple]) -> MeasurementColumns:
+    """Check and convert ``rows``, one line's ``_KEYS`` fields each, a column at a time.
 
-    Raises:
-        TypeError, ValueError, OverflowError: some line breaks the schema;
-            :func:`_name_first_bad_line` says which and how.
+    The one statement of the line schema, its rules in line order: ``values``
+    is a non-empty list of numbers, in float range, finite; the other fields
+    have their exact JSON types (``True`` is not an int); the genotype text
+    parses. All rows must share a genotype length and an objective count. A
+    broken rule raises ``ValueError`` with a bad line's message, naming the
+    first value that breaks it.
     """
-    if not (
-        _types(values) <= {list}
-        and _types(eval_index) | _types(iteration) <= {int}
-        and _types(genotype) | _types(source) <= {str}
-        and _types(chain.from_iterable(values)) <= {int, float}
-    ):
-        raise TypeError("a field has the wrong JSON type")
+    values, eval_index, genotype, source, iteration = list(zip(*rows)) or [()] * len(_KEYS)
+    _check(values, lambda c: set(map(type, c)) <= {list} and all(c)
+           and set(map(type, chain.from_iterable(c))) <= {int, float},
+           "values must be a non-empty list of numbers, got {!r}")
     m = len(values[0]) if values else 0
-    if values and (m == 0 or len(set(map(len, values))) > 1):
-        raise ValueError("an objective count is 0 or differs")
-    V = np.fromiter(chain.from_iterable(values), np.float64, len(values) * m)
-    if not np.isfinite(V).all():
-        raise ValueError("non-finite objective value")
-    G = parse_genotypes(genotype)
+    if len(set(map(len, values))) > 1:
+        raise ValueError("objective counts differ between lines")
+    try:
+        V = np.fromiter(chain.from_iterable(values), float, len(values) * m).reshape(len(values), m)
+    except OverflowError as exc:
+        raise ValueError(f"objective value: {exc}") from exc
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite objective values: {tuple(V[finite.argmin()].tolist())}")
+    for key, column, kind, what in (
+        ("eval_index", eval_index, int, "an int"), ("genotype", genotype, str, "a string"),
+        ("source", source, str, "a string"), ("iteration", iteration, int, "an int"),
+    ):
+        _check(column, lambda c: set(map(type, c)) <= {kind}, f"{key} must be {what}, got {{!r}}")
     return MeasurementColumns(
-        list(eval_index), G, V.reshape(len(values), m), list(source), list(iteration)
+        list(eval_index), parse_genotypes(genotype), V, list(source), list(iteration)
     )
 
 
-def _check_line(obj, shape: tuple[int, int] | None) -> tuple[int, int]:
-    """One line's :func:`_columns` checks; return its (genotype length,
-    objective count), which must equal ``shape``, the first line's."""
-    if type(obj) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in _KEYS:
-        if key not in obj:
-            raise ValueError(f"missing key {key!r}")
-    values = obj["values"]
-    if type(values) is not list or not values or not _types(values) <= {int, float}:
-        raise ValueError(f"values must be a non-empty list of numbers, got {values!r}")
-    try:
-        values = tuple(map(float, values))
-    except OverflowError as exc:
-        raise ValueError(f"objective value: {exc}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite objective values: {values}")
-    for key, want, what in (("eval_index", int, "an int"), ("genotype", str, "a string"),
-                            ("source", str, "a string"), ("iteration", int, "an int")):
-        if type(obj[key]) is not want:
-            raise ValueError(f"{key} must be {what}, got {obj[key]!r}")
-    n, m = len(parse_genotype(obj["genotype"])), len(values)
-    if shape is not None and n != shape[0]:
-        raise ValueError(f"genotype length {n} != {shape[0]} of the first line")
-    if shape is not None and m != shape[1]:
-        raise ValueError(f"{m} objective values != {shape[1]} of the first line")
-    return n, m
-
-
-def _name_first_bad_line(path: str | Path) -> None:
-    """Re-scan ``path`` line by line; raise ``ValueError`` naming the first
-    line that is not JSON or breaks the schema, if there is one."""
+def _name_first_bad_row(path: str | Path, rows: list[tuple], lines: list[int]) -> None:
+    """Raise ``ValueError`` naming the line of the first of ``rows`` that :func:`_columns`
+    refuses alone or whose genotype length or objective count differs from row 0's."""
     shape = None
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    shape = _check_line(json.loads(line), shape)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {exc}") from exc
+    for ln, row in zip(lines, rows):
+        try:
+            n, m = _columns([row]).genotypes.shape[1], len(row[0])
+            shape = shape or (n, m)
+            if n != shape[0]:
+                raise ValueError(f"genotype length {n} != {shape[0]} of the first line")
+            if m != shape[1]:
+                raise ValueError(f"{m} objective values != {shape[1]} of the first line")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
 
 
 def read_measurement_columns(path: str | Path) -> MeasurementColumns:
     """Load a file written by :meth:`EvaluationStore.to_jsonl` as columns.
 
-    Every non-blank line must be a JSON object with int ``eval_index`` and
-    ``iteration``, a string ``source``, a ``genotype`` string of ASCII
-    decimal indices joined by dashes, and ``values``, a non-empty list of
-    finite numbers; every line has the first line's genotype length and
-    objective count. Other keys are ignored. Each line is parsed by one
-    ``json.loads``; the fields are checked and converted a column at a time.
+    Every non-blank line must be a UTF-8 JSON object whose ``_KEYS`` fields
+    :func:`_columns` accepts: int ``eval_index`` and ``iteration``, a string
+    ``source``, a ``genotype`` string of ASCII decimal indices joined by
+    dashes, and ``values``, a non-empty list of finite numbers, with the
+    first line's genotype length and objective count. Other keys are
+    ignored. The file is read once, with one ``json.loads`` per line.
 
     Raises:
         ValueError: ``path:line: ...`` naming the first line that is not
-            JSON or breaks the schema.
+            UTF-8, is not a JSON object with every key, or breaks the schema.
     """
-    fields = itemgetter(*_KEYS)
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+    rows, lines = [], []
+    with open(path, "rb") as fh:
+        for ln, line in enumerate(fh, start=1):
+            try:
+                line = line.decode("utf-8").strip()
                 if line:
-                    rows.append(fields(json.loads(line)))
-        return _columns(*(list(zip(*rows)) or [()] * len(_KEYS)))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        _name_first_bad_line(path)
+                    obj = json.loads(line)
+                    if type(obj) is not dict:
+                        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                    rows.append(_fields(obj))
+                    lines.append(ln)
+            except (KeyError, ValueError) as exc:
+                _name_first_bad_row(path, rows, lines)
+                why = f"missing key {exc}" if type(exc) is KeyError else exc
+                raise ValueError(f"{path}:{ln}: {why}") from exc
+    try:
+        return _columns(rows)
+    except ValueError:
+        _name_first_bad_row(path, rows, lines)
         raise
 
 
@@ -511,11 +504,16 @@ class SyntheticLandscape:
         return lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
 
     def evaluate_batch(self, genotypes) -> np.ndarray:
-        """Raw ``(accuracy, latency)`` rows for many genotypes as a ``(B, 2)`` array."""
-        U = self.space.unit_coordinates_batch(genotypes)
+        """Raw ``(accuracy, latency)`` rows for many genotypes as a ``(B, 2)`` array.
+
+        Raises:
+            MalformedGenotypeError: a row of the wrong length or an index
+                outside its variable's options.
+        """
+        canon = self.space.canonicalize_batch(self.space.validate_batch(genotypes))
+        U = canon / self.space.unit_denominators
         acc = self._accuracy_batch(U)
         if self.noise_sd > 0:
-            canon = self.space.canonicalize_batch(np.asarray(genotypes, dtype=np.int64))
             acc = acc + np.array([self._noise(tuple(g)) for g in canon])
         return np.column_stack([acc, self._latency_batch(U)])
 
@@ -568,26 +566,29 @@ class TabularEvaluator:
         cls, path: str | Path, space: SearchSpace, missing_policy: str = "error"
     ) -> "TabularEvaluator":
         """Load ``genotype,obj_1,...,obj_m`` rows; genotypes are dash-separated indices."""
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "genotype" or len(header) < 2:
-                raise ValueError(f"{path}: header must be genotype,obj_1,...,obj_m")
-            m = len(header) - 1
-            where, values = [], []
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != m + 1:
-                    raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
-                try:
-                    vals = tuple(float(v) for v in row[1:])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {exc}") from exc
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"{path}:{ln}: non-finite values {vals}")
-                values.append(vals)
-                where.append((ln, row[0]))
+        with open(path, "rb") as fh:
+            reader = csv.reader(line.decode("utf-8") for line in fh)
+            try:
+                header = next(reader, None)
+                if not header or header[0] != "genotype" or len(header) < 2:
+                    raise ValueError(f"{path}: header must be genotype,obj_1,...,obj_m")
+                m = len(header) - 1
+                where, values = [], []
+                for ln, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    if len(row) != m + 1:
+                        raise ValueError(f"{path}:{ln}: expected {m + 1} cells, got {len(row)}")
+                    try:
+                        vals = tuple(float(v) for v in row[1:])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{ln}: {exc}") from exc
+                    if not all(map(math.isfinite, vals)):
+                        raise ValueError(f"{path}:{ln}: non-finite values {vals}")
+                    values.append(vals)
+                    where.append((ln, row[0]))
+            except UnicodeDecodeError as exc:  # raised by the line that would be read next
+                raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from exc
         try:
             G = space.validate_batch(parse_genotypes(text for _, text in where))
         except ValueError:

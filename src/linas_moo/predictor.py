@@ -440,12 +440,6 @@ class PredictorReport:
     mape_trials: dict[str, np.ndarray]
     tau_trials: dict[str, np.ndarray]
 
-    def mape_mean(self, kind: str) -> np.ndarray:
-        return self.mape_trials[kind].mean(axis=1)
-
-    def tau_mean(self, kind: str) -> np.ndarray:
-        return self.tau_trials[kind].mean(axis=1)
-
     def rows(self) -> list[dict]:
         """Flat rows for CSV export, one per (train size, kind)."""
         out = []
@@ -493,6 +487,9 @@ def check_protocol(
             f"train_sizes: stacked needs at least {DEFAULT_STACK_FOLDS} training rows, "
             "one per fold"
         )
+    for name, value in (("trials", trials), ("test_size", test_size)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name}: expected an integer, got {value!r}")
     if trials < 1:
         raise ValueError("trials: must be positive")
     if test_size < 2:

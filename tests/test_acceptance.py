@@ -394,14 +394,12 @@ def test_criterion_7_predictor_learning_curves():
         X, y, train_sizes=tuple(range(100, 1001, 100)), trials=20, test_size=500, seed=0
     )
 
-    improves = {
-        kind: bool(report.mape_mean(kind)[-1] <= report.mape_mean(kind)[0])
-        for kind in PREDICTOR_KINDS
-    }
-    best_single = min(float(report.mape_mean(k)[-1]) for k in ("ridge", "svr_rbf"))
-    stacked_final = float(report.mape_mean("stacked")[-1])
+    mape = {kind: report.mape_trials[kind].mean(axis=1) for kind in PREDICTOR_KINDS}
+    improves = {kind: bool(mape[kind][-1] <= mape[kind][0]) for kind in PREDICTOR_KINDS}
+    best_single = min(float(mape[k][-1]) for k in ("ridge", "svr_rbf"))
+    stacked_final = float(mape["stacked"][-1])
     stacked_ok = stacked_final <= 1.10 * best_single
-    taus = {kind: float(report.tau_mean(kind)[-1]) for kind in PREDICTOR_KINDS}
+    taus = {kind: float(report.tau_trials[kind].mean(axis=1)[-1]) for kind in PREDICTOR_KINDS}
     tau_ok = all(t >= 0.95 for t in taus.values())
     elapsed = time.perf_counter() - t0
     checks = {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import enumerate_canonicals, make_free_space, make_masked_space
+from linas_moo import objective
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -188,6 +189,42 @@ def landscape_store(size: int, seed: int = 0) -> EvaluationStore:
     return store
 
 
+def schema_breaks(n: int) -> list[tuple[dict, str]]:
+    """Changes to a good line (genotype length ``n``, 2 objectives), each with the
+    message of the schema rule it breaks."""
+    rest = "-0" * (n - 2)
+    return [
+        ({"values": "75"}, "values must be a non-empty list of numbers, got '75'"),
+        ({"values": []}, "values must be a non-empty list of numbers, got []"),
+        ({"values": [True, 1.0]}, "values must be a non-empty list of numbers"),
+        ({"values": [1.0, None]}, "values must be a non-empty list of numbers"),
+        ({"values": [10**400, 1.0]}, "objective value: int too large"),
+        ({"eval_index": True}, "eval_index must be an int, got True"),
+        ({"eval_index": 2.7}, "eval_index must be an int, got 2.7"),
+        ({"iteration": 1.0}, "iteration must be an int, got 1.0"),
+        ({"iteration": False}, "iteration must be an int, got False"),
+        ({"source": 3}, "source must be a string, got 3"),
+        ({"genotype": 10}, "genotype must be a string, got 10"),
+        ({"genotype": f"+1-1{rest}"}, f"unparseable genotype string: '+1-1{rest}'"),
+        ({"genotype": f"0-1_0{rest}"}, f"unparseable genotype string: '0-1_0{rest}'"),
+        ({"genotype": f"0-\u0661{rest}"}, "unparseable genotype string"),
+        ({"genotype": f" 0-1{rest}"}, "unparseable genotype string"),
+        ({"genotype": f"0-1{rest[2:]}"}, f"genotype length {n - 1} != {n} of the first line"),
+        ({"values": [1.0, 2.0, 3.0]}, "3 objective values != 2 of the first line"),
+    ]
+
+
+def big_file(tmp_path, change: dict | None = None):
+    """A 2,000-row store file; line 1,500 gets ``change`` merged in, if given."""
+    path = tmp_path / "big.jsonl"
+    landscape_store(2000).to_jsonl(path)
+    if change is not None:
+        lines = path.read_text().splitlines()
+        lines[1499] = json.dumps(json.loads(lines[1499]) | change, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestJsonlCodec:
     GOOD = {"eval_index": 2, "genotype": "0-1-0-0", "values": [1.0, 2.0], "source": "t",
             "iteration": 0}
@@ -234,25 +271,7 @@ class TestJsonlCodec:
 
     @pytest.mark.parametrize(
         "change, message",
-        [
-            ({"values": "75"}, "values must be a non-empty list of numbers, got '75'"),
-            ({"values": []}, "values must be a non-empty list of numbers, got []"),
-            ({"values": [True, 1.0]}, "values must be a non-empty list of numbers"),
-            ({"values": [1.0, None]}, "values must be a non-empty list of numbers"),
-            ({"values": [10**400, 1.0]}, "objective value: int too large"),
-            ({"eval_index": True}, "eval_index must be an int, got True"),
-            ({"eval_index": 2.7}, "eval_index must be an int, got 2.7"),
-            ({"iteration": 1.0}, "iteration must be an int, got 1.0"),
-            ({"iteration": False}, "iteration must be an int, got False"),
-            ({"source": 3}, "source must be a string, got 3"),
-            ({"genotype": 10}, "genotype must be a string, got 10"),
-            ({"genotype": "+1-1-0-0"}, "unparseable genotype string: '+1-1-0-0'"),
-            ({"genotype": "0-1_0-0-0"}, "unparseable genotype string: '0-1_0-0-0'"),
-            ({"genotype": "0-\u0661-0-0"}, "unparseable genotype string"),
-            ({"genotype": " 0-1-0-0"}, "unparseable genotype string"),
-            ({"genotype": "0-1-0"}, "genotype length 3 != 4 of the first line"),
-            ({"values": [1.0, 2.0, 3.0]}, "3 objective values != 2 of the first line"),
-        ],
+        schema_breaks(4),
         ids=lambda x: x if isinstance(x, str) else None,
     )
     def test_reader_accepts_only_what_the_writer_writes(self, tmp_path, change, message):
@@ -275,15 +294,44 @@ class TestJsonlCodec:
         with pytest.raises(ValueError, match="bad.jsonl:2: Expecting property name"):
             read_measurements_jsonl(path)
 
-    @pytest.mark.parametrize("change", [{"genotype": "0-1_0-0"}, {"values": [1.0]}])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            ({"genotype": "0-1_0-0"}, "unparseable genotype string: '0-1_0-0'"),
+            ({"values": [1.0]}, "1 objective values != 2 of the first line"),
+        ]
+        + schema_breaks(builtin_space("mobilenetv3").n_variables),
+    )
     def test_bad_line_named_deep_in_a_large_file(self, tmp_path, change):
-        store = landscape_store(2000)
-        path = tmp_path / "big.jsonl"
-        store.to_jsonl(path)
-        lines = path.read_text().splitlines()
-        lines[1499] = json.dumps(json.loads(lines[1499]) | change, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"big.jsonl:1500: "):
+        change, message = change
+        path = big_file(tmp_path, change)
+        with pytest.raises(ValueError, match=re.escape(f"big.jsonl:1500: {message}")):
+            read_measurements_jsonl(path)
+
+    def test_file_is_opened_once_to_name_a_bad_line(self, tmp_path, monkeypatch):
+        path = big_file(tmp_path, {"source": 3})
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "open", counting_open, raising=False)
+        with pytest.raises(ValueError, match="big.jsonl:1500: source must be a string, got 3"):
+            read_measurement_columns(path)
+        assert opened == [path]
+
+    def test_undecodable_byte_is_named_by_its_line(self, tmp_path):
+        path = big_file(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert b'"source": "nsga2"' in lines[1499]
+        lines[1499] = lines[1499].replace(b'"nsga2"', b'"nsg\xff"')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="big.jsonl:1500: 'utf-8' codec can't decode byte"):
+            read_measurements_jsonl(path)
+        lines[1000] = b"{not json\n"  # an earlier bad line is named first
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="big.jsonl:1001: Expecting property name"):
             read_measurements_jsonl(path)
 
     def test_blank_lines_and_crlf_count_as_lines(self, tmp_path):
@@ -470,6 +518,15 @@ class TestSyntheticLandscape:
         for i in range(size):
             assert np.array_equal(batch[i], land.evaluate_batch(G[i : i + 1])[0])
 
+    def test_malformed_rows_are_refused(self):
+        space = builtin_space("ncf")
+        land = SyntheticLandscape.from_seed(space, seed=0)
+        good = [0] * space.n_variables
+        assert space.option_counts[0] == 5
+        for bad in ([-1] + good[1:], [9] + good[1:], good[:3]):
+            with pytest.raises(MalformedGenotypeError):
+                land.evaluate_batch([good, bad])
+
     def test_pair_count_rule(self):
         space = make_free_space()  # 3 variables -> ceil(3/2) = 2 pairs
         land = SyntheticLandscape.from_seed(space, seed=0)
@@ -556,6 +613,20 @@ class TestTabularEvaluator:
                 ValueError, match=re.escape(f"bad.csv:3: non-finite values ({value}, 2.0)")
             ):
                 TabularEvaluator.from_csv(path, space)
+
+    def test_undecodable_byte_in_csv_is_named_by_its_line(self, tmp_path):
+        store = landscape_store(2000)
+        table = {m.genotype: m.values for m in store}
+        path = tmp_path / "table.csv"
+        TabularEvaluator(store.space, table, 2).write_csv(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1499] = lines[1499].replace(b",", b",\xff", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="table.csv:1500: 'utf-8' codec can't decode byte"):
+            TabularEvaluator.from_csv(path, store.space)
+        path.write_bytes(b"genotype,obj_\xff,obj_2\r\n" + b"".join(lines[1:1499]))
+        with pytest.raises(ValueError, match="table.csv:1: 'utf-8' codec can't decode byte 0xff"):
+            TabularEvaluator.from_csv(path, store.space)
 
     @pytest.mark.parametrize("n_rows", [3, 24])
     def test_csv_load_checks_genotypes_in_two_batch_calls(self, tmp_path, monkeypatch, n_rows):

@@ -570,6 +570,10 @@ class TestAnalyzeProtocol:
         [
             (dict(train_sizes=(40, 80, 3), kinds=("stacked",)), "stacked needs at least 5"),
             (dict(train_sizes=(40,), test_size=1), "test_size: must be at least 2"),
+            (dict(train_sizes=(40,), trials=2.5), "trials: expected an integer, got 2.5"),
+            (dict(train_sizes=(40,), trials=True), "trials: expected an integer, got True"),
+            (dict(train_sizes=(40,), test_size=2.5), "test_size: expected an integer, got 2.5"),
+            (dict(train_sizes=(40,), test_size=False), "test_size: expected an integer"),
         ],
     )
     def test_bad_settings_raise_before_any_fit(self, monkeypatch, settings, message):
