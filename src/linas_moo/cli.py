@@ -9,12 +9,12 @@ dataset too small for the request).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -206,19 +206,6 @@ _SEARCH_OWNED = ("max_evaluations", "seed", "max_generations")
 
 
 @dataclass(frozen=True)
-class Arm:
-    """One (algorithm, seed) search job; ``config`` is None for random search."""
-
-    kind: str
-    config: EaConfig | LinasConfig | None
-    seed: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}_seed{self.seed}"
-
-
-@dataclass(frozen=True)
 class SearchPlan:
     space: SearchSpace
     objectives: tuple[ObjectiveSpec, ...]
@@ -330,13 +317,12 @@ def _search_plan(cfg: dict, raw: bytes) -> SearchPlan:
     )
 
 
-def _run_arm(plan: SearchPlan, arm: Arm) -> EvaluationStore:
-    if arm.config is None:
-        return run_random(
-            plan.space, plan.evaluator, plan.objectives, plan.budget, seed=arm.seed
-        ).store
-    run = run_nsga2 if arm.kind == "nsga2" else run_linas
-    return run(plan.space, plan.evaluator, plan.objectives, replace(arm.config, seed=arm.seed)).store
+def _run_arm(plan: SearchPlan, config: EaConfig | LinasConfig | None, seed: int) -> EvaluationStore:
+    """One arm's store: random search for ``None``, else NSGA-II or LINAS by config type."""
+    if config is None:
+        return run_random(plan.space, plan.evaluator, plan.objectives, plan.budget, seed=seed).store
+    run = run_nsga2 if isinstance(config, EaConfig) else run_linas
+    return run(plan.space, plan.evaluator, plan.objectives, replace(config, seed=seed)).store
 
 
 def _latency_index(objectives: Sequence[ObjectiveSpec]) -> int | None:
@@ -359,24 +345,6 @@ def _write_store_jsonl(path: Path, store: EvaluationStore) -> None:
     store.to_jsonl(path, extra)
 
 
-def _normalized_trace(
-    store: EvaluationStore, bounds: tuple[np.ndarray, np.ndarray], stride: int
-):
-    """Unit-box hypervolume trace under shared cross-arm bounds."""
-    lo, hi = bounds
-    area = float(np.prod(hi - lo))
-    trace = hv_trace(store, reference=hi, stride=stride)
-    return trace.counts, tuple(v / area for v in trace.hypervolumes)
-
-
-def _write_trace_csv(path: Path, counts, hvs) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eval_count", "hypervolume"])
-        for k, v in zip(counts, hvs):
-            writer.writerow([k, repr(v)])
-
-
 def _cmd_search(args) -> int:
     cfg, raw = _load_config(args.config)
     plan = _search_plan(cfg, raw)
@@ -385,101 +353,61 @@ def _cmd_search(args) -> int:
             f"space {plan.space.name!r} holds {plan.space.cardinality()} "
             f"distinct configs, budget is {plan.budget}"
         )
-    threads = max(1, args.threads)
     plan.output_dir.mkdir(parents=True, exist_ok=True)
 
-    arms = [
-        Arm(kind=kind, config=config, seed=seed)
-        for kind, config in plan.algorithms
-        for seed in plan.seeds
-    ]
-    results: dict[str, EvaluationStore] = {}
-    failures: dict[str, str] = {}
-    walls: dict[str, float] = {}
-
-    def job(arm: Arm):
-        t0 = time.perf_counter()
-        store = _run_arm(plan, arm)
-        return store, time.perf_counter() - t0
-
-    if threads == 1:
-        outcomes = []
-        for arm in arms:
+    # Each arm in turn; its store is written as soon as it completes.
+    manifest_arms, done, failed = [], [], []
+    for kind, config in plan.algorithms:
+        for seed in plan.seeds:
+            label = f"{kind}_seed{seed}"
+            entry = {"algorithm": kind, "seed": seed}
+            manifest_arms.append(entry)
+            t0 = time.perf_counter()
             try:
-                outcomes.append((arm, job(arm), None))
+                store = _run_arm(plan, config, seed)
             except Exception as exc:
-                outcomes.append((arm, None, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(arm, pool.submit(job, arm)) for arm in arms]
-            outcomes = []
-            for arm, fut in futures:
-                try:
-                    outcomes.append((arm, fut.result(), None))
-                except Exception as exc:
-                    outcomes.append((arm, None, exc))
-    for arm, ok, exc in outcomes:
-        if exc is None:
-            results[arm.label], walls[arm.label] = ok
-        else:
-            failures[arm.label] = f"{type(exc).__name__}: {exc}"
-
-    # Shared scale across every completed arm, then traces and summary.
-    bounds = None
-    traces: dict[str, tuple] = {}
-    scale_error = None
-    if results:
-        try:
-            bounds = union_bounds(
-                [oriented_values(s.values_matrix(), plan.objectives) for s in results.values()]
-            )
-            for label, store in results.items():
-                traces[label] = _normalized_trace(store, bounds, plan.stride)
-        except DegenerateScaleError as exc:
-            scale_error = str(exc)
-
-    manifest_arms = []
-    for arm in arms:
-        entry = {"algorithm": arm.kind, "seed": arm.seed}
-        if arm.label in results:
-            store_file = f"{arm.label}.jsonl"
-            _write_store_jsonl(plan.output_dir / store_file, results[arm.label])
+                entry.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+                failed.append((label, entry["error"]))
+                continue
             entry.update(
                 status="ok",
-                store=store_file,
-                wall_seconds=round(walls[arm.label], 3),
-                evaluations=len(results[arm.label]),
+                store=f"{label}.jsonl",
+                wall_seconds=round(time.perf_counter() - t0, 3),
+                evaluations=len(store),
             )
-            if arm.label in traces:
-                trace_file = f"{arm.label}_trace.csv"
-                counts, hvs = traces[arm.label]
-                _write_trace_csv(plan.output_dir / trace_file, counts, hvs)
-                entry["trace"] = trace_file
-        else:
-            entry.update(status="failed", error=failures[arm.label])
-        manifest_arms.append(entry)
+            _write_store_jsonl(plan.output_dir / entry["store"], store)
+            done.append((kind, label, entry, store))
 
-    if traces:
-        by_algorithm: dict[str, dict[int, list[float]]] = {}
-        for kind, _ in plan.algorithms:
-            per_count: dict[int, list[float]] = {}
-            for seed in plan.seeds:
-                label = f"{kind}_seed{seed}"
-                if label in traces:
-                    counts, hvs = traces[label]
-                    for k, v in zip(counts, hvs):
-                        per_count.setdefault(k, []).append(v)
-            if per_count:
-                by_algorithm[kind] = per_count
+    # Shared scale across every completed arm, then traces and summary rows.
+    bounds = None
+    scale_error = None
+    per_count: dict[tuple[str, int], list[float]] = {}
+    if done:
+        try:
+            bounds = union_bounds(
+                [oriented_values(s.values_matrix(), plan.objectives) for *_, s in done]
+            )
+            area = float(np.prod(bounds[1] - bounds[0]))
+            for kind, label, entry, store in done:
+                trace = hv_trace(store, reference=bounds[1], stride=plan.stride)
+                entry["trace"] = name = f"{label}_trace.csv"
+                with open(plan.output_dir / name, "w", encoding="utf-8", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["eval_count", "hypervolume"])
+                    for k, hv in zip(trace.counts, trace.hypervolumes):
+                        hv /= area  # unit-box hypervolume under the shared bounds
+                        writer.writerow([k, repr(hv)])
+                        per_count.setdefault((kind, k), []).append(hv)
+        except DegenerateScaleError as exc:
+            scale_error = str(exc)
+    if per_count:
         with open(plan.output_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["algorithm", "eval_count", "hv_mean", "hv_stderr"])
-            for kind, _ in plan.algorithms:
-                for k in sorted(by_algorithm.get(kind, ())):
-                    vals = by_algorithm[kind][k]
-                    writer.writerow(
-                        [kind, k, repr(float(np.mean(vals))), repr(_standard_error(vals))]
-                    )
+            order = [kind for kind, _ in plan.algorithms]
+            for kind, k in sorted(per_count, key=lambda key: (order.index(key[0]), key[1])):
+                vals = per_count[kind, k]
+                writer.writerow([kind, k, repr(float(np.mean(vals))), repr(_standard_error(vals))])
 
     manifest = {
         "tool": "linas-moo",
@@ -494,7 +422,7 @@ def _cmd_search(args) -> int:
             "hi": [float(v) for v in bounds[1]],
             "convention": "minimization (maximized objectives negated)",
         }
-    if traces:
+    if per_count:
         manifest["summary"] = "summary.csv"
     if scale_error is not None:
         manifest["error"] = f"degenerate objective scale: {scale_error}"
@@ -502,14 +430,14 @@ def _cmd_search(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if failures:
-        for label, msg in sorted(failures.items()):
+    if failed:
+        for label, msg in sorted(failed):
             print(f"arm {label} failed: {msg}", file=sys.stderr)
         return 3
     if scale_error is not None:
         print(f"error: degenerate objective scale: {scale_error}", file=sys.stderr)
         return 3
-    print(f"wrote {len(results)} runs to {plan.output_dir}")
+    print(f"wrote {len(done)} runs to {plan.output_dir}")
     return 0
 
 
@@ -626,16 +554,16 @@ def _cmd_pareto(args) -> int:
             front, format_genotypes(cols.genotypes[front]), cols.values[front].tolist()
         )
     ]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} front rows to {args.output}")
-    else:
-        writer = csv.writer(sys.stdout)
+    out = (
+        open(args.output, "w", encoding="utf-8", newline="") if args.output
+        else contextlib.nullcontext(sys.stdout)
+    )
+    with out as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    if args.output:
+        print(f"wrote {len(rows)} front rows to {args.output}")
     return 0
 
 
@@ -687,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run configured search arms")
     p.add_argument("-c", "--config", required=True, help="JSON experiment config")
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="arms run concurrently; outputs stay deterministic (default 1)",
+        "--threads", type=int, choices=[1], default=1,
+        help="accepted for compatibility; the arms always run in turn",
     )
 
     p = sub.add_parser("predictor-analysis", help="predictor quality vs training size")

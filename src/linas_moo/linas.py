@@ -24,7 +24,9 @@ from .moea import (
     search_rng,
 )
 from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes, oriented_values
-from .predictor import PREDICTOR_KINDS, featurize_batch, featurize_canonical, make_predictor
+from .predictor import (
+    DEFAULT_STACK_FOLDS, PREDICTOR_KINDS, featurize_batch, featurize_canonical, make_predictor,
+)
 from .space import Genotype, SearchSpace
 
 LINAS_SOURCE = "linas"
@@ -89,6 +91,11 @@ class LinasConfig:
                 raise ValueError(
                     f"unknown predictor kind {kind!r}; choose from {PREDICTOR_KINDS}"
                 )
+        if "stacked" in self.predictor_kinds and self.population_size < DEFAULT_STACK_FOLDS:
+            raise ValueError(
+                f"population_size must be at least {DEFAULT_STACK_FOLDS} with a stacked "
+                "predictor: its first fit needs one row per fold"
+            )
 
     def kinds_for(self, objectives: Sequence[ObjectiveSpec]) -> tuple[str, ...]:
         """One predictor kind per objective, broadcasting a single kind."""

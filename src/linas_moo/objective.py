@@ -518,6 +518,28 @@ class SyntheticLandscape:
         return np.column_stack([acc, self._latency_batch(U)])
 
 
+def _genotype_table(path, space: SearchSpace, where, values) -> dict[Genotype, tuple[float, ...]]:
+    """Canonical genotype -> values of parsed ``(line, genotype text)`` rows; a
+    ValueError names the first line whose genotype is bad or a canonical repeat."""
+    try:
+        G = space.validate_batch(parse_genotypes(text for _, text in where))
+    except ValueError:
+        for i, (ln, text) in enumerate(where):  # name the first bad line
+            try:
+                space.validate(parse_genotype(text))
+            except ValueError as exc:
+                _genotype_table(path, space, where[:i], values)  # an earlier duplicate first
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+        raise
+    table: dict[Genotype, tuple[float, ...]] = {}
+    keys = map(tuple, space.canonicalize_batch(G).tolist())
+    for (ln, text), g, vals in zip(where, keys, values):
+        if g in table:
+            raise ValueError(f"{path}:{ln}: duplicate canonical genotype {text}")
+        table[g] = vals
+    return table
+
+
 class TabularEvaluator:
     """Looks up objective vectors for canonical genotypes in a fixed table.
 
@@ -568,12 +590,12 @@ class TabularEvaluator:
         """Load ``genotype,obj_1,...,obj_m`` rows; genotypes are dash-separated indices."""
         with open(path, "rb") as fh:
             reader = csv.reader(line.decode("utf-8") for line in fh)
+            where, values = [], []
             try:
                 header = next(reader, None)
                 if not header or header[0] != "genotype" or len(header) < 2:
                     raise ValueError(f"{path}: header must be genotype,obj_1,...,obj_m")
                 m = len(header) - 1
-                where, values = [], []
                 for ln, row in enumerate(reader, start=2):
                     if not row:
                         continue
@@ -587,23 +609,12 @@ class TabularEvaluator:
                         raise ValueError(f"{path}:{ln}: non-finite values {vals}")
                     values.append(vals)
                     where.append((ln, row[0]))
-            except UnicodeDecodeError as exc:  # raised by the line that would be read next
-                raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from exc
-        try:
-            G = space.validate_batch(parse_genotypes(text for _, text in where))
-        except ValueError:
-            for ln, text in where:  # name the first bad line
-                try:
-                    space.validate(parse_genotype(text))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {exc}") from exc
-            raise
-        table: dict[Genotype, tuple[float, ...]] = {}
-        keys = map(tuple, space.canonicalize_batch(G).tolist())
-        for (ln, text), g, vals in zip(where, keys, values):
-            if g in table:
-                raise ValueError(f"{path}:{ln}: duplicate canonical genotype {text}")
-            table[g] = vals
+            except ValueError as exc:
+                _genotype_table(path, space, where, values)  # an earlier line's fault comes first
+                if isinstance(exc, UnicodeDecodeError):  # raised by the line read next
+                    raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from exc
+                raise
+        table = _genotype_table(path, space, where, values)
         return cls(space, table, m, missing_policy)
 
     def evaluate_batch(self, genotypes) -> np.ndarray:

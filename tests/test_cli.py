@@ -127,10 +127,10 @@ class TestSearchCommand:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
-    def test_threads_match_single_threaded_output(self, tmp_path):
+    def test_threads_flag_accepts_only_one(self, tmp_path, capsys):
         cfg_a = base_config(
             tmp_path,
-            output_dir=str(tmp_path / "st"),
+            output_dir=str(tmp_path / "plain"),
             algorithms=[
                 {"kind": "linas", "parameters": {"population_size": 5, "inner_evaluations": 50}},
                 {"kind": "random"},
@@ -138,21 +138,25 @@ class TestSearchCommand:
             budget=15,
             seeds=[0, 1, 2],
         )
-        cfg_b = dict(cfg_a, output_dir=str(tmp_path / "mt"))
-        assert main(["search", "-c", write_config(tmp_path, cfg_a, "st.json")]) == 0
+        cfg_b = dict(cfg_a, output_dir=str(tmp_path / "one"))
+        assert main(["search", "-c", write_config(tmp_path, cfg_a, "plain.json")]) == 0
         assert main(
-            ["search", "-c", write_config(tmp_path, cfg_b, "mt.json"), "--threads", "3"]
+            ["search", "-c", write_config(tmp_path, cfg_b, "one.json"), "--threads", "1"]
         ) == 0
         for kind in ("linas", "random"):
             for seed in (0, 1, 2):
                 for suffix in (".jsonl", "_trace.csv"):
                     name = f"{kind}_seed{seed}{suffix}"
-                    assert (tmp_path / "st" / name).read_bytes() == (
-                        tmp_path / "mt" / name
+                    assert (tmp_path / "plain" / name).read_bytes() == (
+                        tmp_path / "one" / name
                     ).read_bytes()
-        assert (tmp_path / "st" / "summary.csv").read_bytes() == (
-            tmp_path / "mt" / "summary.csv"
+        assert (tmp_path / "plain" / "summary.csv").read_bytes() == (
+            tmp_path / "one" / "summary.csv"
         ).read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "-c", write_config(tmp_path, cfg_b, "one.json"), "--threads", "3"])
+        assert excinfo.value.code == 2
+        assert "--threads: invalid choice: 3" in capsys.readouterr().err
 
     def test_summary_round_trips_from_emitted_files(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -243,6 +247,38 @@ class TestSearchCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["arms"][0]["status"] == "failed"
         assert "UnknownConfigurationError" in manifest["arms"][0]["error"]
+
+    def test_failed_and_completed_arms_keep_config_order(self, tmp_path, free_space, capsys):
+        table = {
+            (a, b, c): (float(a + b + c), float(b + 2 * c))
+            for a in range(4)
+            for b in range(3)
+            for c in range(2)
+            if a >= 2
+        }
+        csv_path = tmp_path / "table.csv"
+        TabularEvaluator(free_space, table, 2).write_csv(csv_path)
+        cfg = base_config(
+            tmp_path,
+            space=write_toy_space(tmp_path, free_space),
+            evaluator={"kind": "tabular", "path": str(csv_path), "missing_policy": "error"},
+            budget=2,
+            seeds=[0, 1],
+        )
+        assert main(["search", "-c", write_config(tmp_path, cfg)]) == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("arm random_seed0 failed: ")
+        out_dir = tmp_path / "out"
+        arms = json.loads((out_dir / "manifest.json").read_text())["arms"]
+        assert [(a["seed"], a["status"]) for a in arms] == [(0, "failed"), (1, "ok")]
+        assert "store" not in arms[0] and "trace" not in arms[0]
+        assert arms[1]["store"] == "random_seed1.jsonl"
+        assert arms[1]["trace"] == "random_seed1_trace.csv"
+        assert not (out_dir / "random_seed0.jsonl").exists()
+        trace = read_csv(out_dir / "random_seed1_trace.csv")[1:]
+        assert read_csv(out_dir / "summary.csv")[1:] == [
+            ["random", count, hv, "0.0"] for count, hv in trace
+        ]
 
     def test_tabular_nearest_reject_completes(self, tmp_path, free_space):
         table = {
@@ -389,6 +425,13 @@ class TestSearchConfigErrors:
         code, err = self.run(tmp_path, cfg, capsys)
         assert code == 2
         assert "algorithms[0].parameters: population_size must be at least 2" in err
+
+    def test_stacked_linas_population_below_fold_count(self, tmp_path, capsys):
+        params = {"population_size": 2, "inner_evaluations": 50, "predictor_kinds": ["stacked"]}
+        code, err = self.run(tmp_path, self.algorithm(tmp_path, "linas", params), capsys)
+        assert code == 2
+        assert "algorithms[0].parameters: population_size must be at least 5 with a stacked" in err
+        assert not (tmp_path / "out").exists()
 
     def test_linas_iterations_must_match_budget(self, tmp_path, capsys):
         cfg = self.algorithm(tmp_path, "linas", {"population_size": 5, "iterations": 3})

@@ -79,6 +79,12 @@ class TestLinasConfig:
         with pytest.raises(ValueError, match=r"mutation_prob must lie in \[0, 1\]"):
             LinasConfig(mutation_prob=-1.0)
 
+    def test_stacked_needs_a_population_per_fold(self):
+        with pytest.raises(ValueError, match="population_size must be at least 5 with a stacked"):
+            LinasConfig(population_size=4, predictor_kinds=("ridge", "stacked"))
+        LinasConfig(population_size=5, predictor_kinds=("ridge", "stacked"))
+        LinasConfig(population_size=4, predictor_kinds=("ridge",))
+
     def test_kinds_broadcast_and_exact(self):
         assert LinasConfig().kinds_for(ACC_LAT) == ("ridge", "ridge")
         cfg = LinasConfig(predictor_kinds=("svr_rbf", "ridge"))

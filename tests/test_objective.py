@@ -652,14 +652,13 @@ class TestTabularEvaluator:
     def test_malformed_csv_index_reports_line(self, tmp_path):
         space = make_free_space()
         path = tmp_path / "bad.csv"
-        path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-3-0,1.0,2.0\n1-0\n")
-        with pytest.raises(ValueError, match="bad.csv:4: expected 3 cells"):
-            TabularEvaluator.from_csv(path, space)
-        path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-3-0,1.0,2.0\n1-0,1.0,2.0\n")
-        with pytest.raises(
-            ValueError, match=r"bad.csv:3: position 1 \(b\): index 3 outside 0..2"
-        ):
-            TabularEvaluator.from_csv(path, space)
+        # Line 3's index is named first, whatever the fault of line 4.
+        for line_4 in ("1-0", "1-0-0,1.0", "1-0,1.0,2.0"):
+            path.write_text(f"genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-3-0,1.0,2.0\n{line_4}\n")
+            with pytest.raises(
+                ValueError, match=r"bad.csv:3: position 1 \(b\): index 3 outside 0..2"
+            ):
+                TabularEvaluator.from_csv(path, space)
 
     @pytest.mark.parametrize(
         "cell, message",
@@ -682,6 +681,11 @@ class TestTabularEvaluator:
         path.write_text("genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-0-0,1.0,2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             TabularEvaluator.from_csv(path, space)
+        # The repeat is named before a later line's bad genotype or bad value.
+        for line_4 in ("0-9-0,1.0,2.0", "1-0-0,x,2.0"):
+            path.write_text(f"genotype,obj_1,obj_2\n0-0-0,1.0,2.0\n0-0-0,1.0,2.0\n{line_4}\n")
+            with pytest.raises(ValueError, match="dup.csv:3: duplicate canonical genotype 0-0-0"):
+                TabularEvaluator.from_csv(path, space)
 
     @pytest.mark.parametrize("second", ["2.0", "9.0"])
     def test_canonical_twins_rejected_in_either_order(self, tmp_path, second):
