@@ -430,12 +430,10 @@ def _cmd_search(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if failed:
-        for label, msg in sorted(failed):
-            print(f"arm {label} failed: {msg}", file=sys.stderr)
-        return 3
-    if scale_error is not None:
-        print(f"error: degenerate objective scale: {scale_error}", file=sys.stderr)
+    errors = [f"arm {label} failed: {msg}" for label, msg in sorted(failed)]
+    errors += [f"error: {manifest['error']}"] if scale_error is not None else []
+    if errors:  # a failed arm does not hide a degenerate scale
+        print("\n".join(errors), file=sys.stderr)
         return 3
     print(f"wrote {len(done)} runs to {plan.output_dir}")
     return 0

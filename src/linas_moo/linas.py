@@ -24,9 +24,7 @@ from .moea import (
     search_rng,
 )
 from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes, oriented_values
-from .predictor import (
-    DEFAULT_STACK_FOLDS, PREDICTOR_KINDS, featurize_batch, featurize_canonical, make_predictor,
-)
+from .predictor import DEFAULT_STACK_FOLDS, PREDICTOR_KINDS, featurize_canonical, make_predictor
 from .space import Genotype, SearchSpace
 
 LINAS_SOURCE = "linas"
@@ -151,10 +149,8 @@ def select_best_unique(
     return chosen
 
 
-def _fit_models(
-    store: EvaluationStore, kinds: Sequence[str], seed: int
-) -> tuple:
-    X = featurize_batch(store.space, [m.genotype for m in store])
+def _fit_models(store: EvaluationStore, kinds: Sequence[str], seed: int) -> tuple:
+    X = featurize_canonical(store.space, store.genotype_matrix())
     Y = store.values_matrix()
     models = []
     for j, kind in enumerate(kinds):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -285,7 +285,7 @@ def sample_fresh_into_store(
         misses = 0 if len(kept) else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(f"no acceptable config found after {misses} samples")
-    return list(islice(store, start, None))
+    return store._measurements(start)
 
 
 def run_random(
@@ -313,8 +313,7 @@ def run_random(
     store = EvaluationStore(space, objectives)
     rng = search_rng(seed)
     sample_fresh_into_store(space, evaluator, store, rng, budget, source="random", iteration=0)
-    G = np.array([m.genotype for m in store], dtype=np.int64)
-    return SearchOutcome(store, (G, store.values_matrix()), 0)
+    return SearchOutcome(store, (store.genotype_matrix(), store.values_matrix()), 0)
 
 
 def environmental_selection(

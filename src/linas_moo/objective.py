@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -132,72 +132,93 @@ class EvaluationStore:
             raise ValueError("store needs at least one objective")
         self.space = space
         self.objectives = tuple(objectives)
-        self._records: list[Measurement] = []
-        self._position: dict[Genotype, int] = {}
+        dtype = np.min_scalar_type(int(space.option_counts.max()) - 1)  # narrowest for every option
+        self._genotypes = np.empty((0, space.n_variables), dtype)  # both with spare rows at the end
+        self._values = np.empty((0, len(self.objectives)))
+        self._source, self._iteration = [], []  # one str and one int per row
+        self._position: dict[Genotype, int] = {}  # genotype -> row; keys in row order
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._source)
 
     def __iter__(self) -> Iterator[Measurement]:
-        return iter(self._records)
+        return iter(self._measurements())
 
     def __contains__(self, genotype: Genotype) -> bool:
         return tuple(genotype) in self._position
 
-    def get(self, genotype: Genotype) -> Measurement | None:
-        pos = self._position.get(tuple(genotype))
-        return None if pos is None else self._records[pos]
+    def _measurements(self, start: int = 0) -> list[Measurement]:
+        """One :class:`Measurement` per row from ``start`` on; its genotype is the row's key."""
+        return list(map(Measurement, count(start + 1), islice(self._position, start, None),
+                        map(tuple, self._values[start : len(self)].tolist()),
+                        self._source[start:], self._iteration[start:]))
 
-    def insert_batch(
-        self, genotypes, values, *, source: str, iteration: int = 0
-    ) -> list[Measurement]:
+    def insert_batch(self, genotypes, values, *, source: str, iteration: int = 0) -> int:
         """Store ``(B, n)`` genotypes with ``(B, m)`` values; the store's only write path.
 
-        The whole batch is checked before anything is stored, so a bad row
-        stores nothing. Genotypes already stored, and repeats within the
-        batch, are skipped; the new measurements are returned in order.
+        Checks the whole batch before it stores anything, so a bad row stores nothing.
+        Skips stored genotypes and repeats within the batch; returns how many rows were new.
 
         Raises:
             MalformedGenotypeError: an index outside its variable's options.
             StoreContractError: a non-canonical genotype, wrong objective
-                arity, or non-finite values.
+                arity, non-finite values, or a tag the JSONL reader refuses.
         """
+        if type(source) is not str:
+            raise StoreContractError(f"source must be a string, got {source!r}")
+        if type(iteration) is not int:
+            raise StoreContractError(f"iteration must be an int, got {iteration!r}")
         G, V = _check_values(_check_genotypes(self.space, genotypes), values, len(self.objectives))
-        records, position = self._records, self._position
-        start = len(records)
-        for g, vals in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
-            n = len(records)
-            if position.setdefault(g, n) == n:  # one hash per row
-                records.append(Measurement(n + 1, g, vals, source, iteration))
-        return records[start:]
+        position, start = self._position, len(self)
+        new = [i for i, g in enumerate(map(tuple, G.tolist()))  # one hash per row
+               if position.setdefault(g, n := len(position)) == n]
+        if (stop := start + len(new)) > len(self._values):  # double; old views keep old arrays
+            by = ((0, max(stop, 2 * len(self._values)) - len(self._values)), (0, 0))
+            self._genotypes, self._values = [np.pad(a, by) for a in (self._genotypes, self._values)]
+        self._genotypes[start:stop], self._values[start:stop] = G[new], V[new]
+        self._source += [source] * len(new)
+        self._iteration += [iteration] * len(new)
+        return len(new)
 
     def values_matrix(self) -> np.ndarray:
-        """Raw values as an ``(N, m)`` array in insertion order."""
-        if not self._records:
-            return np.empty((0, len(self.objectives)))
-        return np.array([m.values for m in self._records], dtype=np.float64)
+        """Raw values as a read-only ``(N, m)`` view in insertion order."""
+        view = self._values[: len(self)]
+        view.flags.writeable = False
+        return view
+
+    def genotype_matrix(self) -> np.ndarray:
+        """Canonical genotypes as a new ``(N, n)`` int64 array in insertion order."""
+        return self._genotypes[: len(self)].astype(np.int64)
 
     def to_jsonl(self, path: str | Path, extra: Mapping[str, Sequence] | None = None) -> None:
         """One sorted-keys JSON object per line, insertion order; byte-deterministic.
 
-        ``extra`` maps a key to one value per record, added to that record's line.
-        Each line is ``json.dumps(obj, sort_keys=True)`` of its record.
+        ``extra`` maps a str key to one value per record, added to that record's line.
+        Each line is ``json.dumps(obj, sort_keys=True)`` of its record, formatted by columns.
         """
         extra = extra or {}
+        if any(len(column) != len(self) for column in extra.values()):
+            raise ValueError(f"every extra column needs {len(self)} values, one per row")
         encode = json.JSONEncoder(sort_keys=True).encode
+        sources = {s: encode(s) for s in set(self._source)}
+        keys = sorted({*_KEYS, *extra})
+        line = "{{%s}}\n" % ", ".join(
+            encode(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
         with open(path, "w", encoding="utf-8") as fh:
-            for lo in range(0, len(self._records), _JSONL_CHUNK):
-                chunk = self._records[lo : lo + _JSONL_CHUNK]
-                lines = []
-                for i, (m, text) in enumerate(
-                    zip(chunk, format_genotypes([m.genotype for m in chunk])), lo
-                ):
-                    obj = {"eval_index": m.eval_index, "genotype": text, "values": m.values,
-                           "source": m.source, "iteration": m.iteration}
-                    for key, column in extra.items():
-                        obj[key] = column[i]
-                    lines.append(encode(obj) + "\n")
-                fh.write("".join(lines))
+            for lo in range(0, len(self), _JSONL_CHUNK):
+                rows = slice(lo, min(lo + _JSONL_CHUNK, len(self)))
+                cells = {
+                    "eval_index": map(str, range(rows.start + 1, rows.stop + 1)),
+                    "genotype": map('"{}"'.format, format_genotypes(self._genotypes[rows])),
+                    "iteration": map(str, self._iteration[rows]),
+                    "source": map(sources.__getitem__, self._source[rows]),
+                    "values": map(repr, self._values[rows].tolist()),  # json's text if finite
+                }
+                for key, column in extra.items():
+                    part = column[rows]
+                    finite = set(map(type, part)) <= {float} and all(map(math.isfinite, part))
+                    cells[key] = map(float.__repr__ if finite else encode, part)
+                fh.write("".join(map(line.format, *map(cells.get, keys))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,19 +310,25 @@ def read_measurement_columns(path: str | Path) -> MeasurementColumns:
     ``source``, a ``genotype`` string of ASCII decimal indices joined by
     dashes, and ``values``, a non-empty list of finite numbers, with the
     first line's genotype length and objective count. Other keys are
-    ignored. The file is read once, with one ``json.loads`` per line.
+    ignored. The file is read once, and a line must hold one whole JSON value.
 
     Raises:
         ValueError: ``path:line: ...`` naming the first line that is not
             UTF-8, is not a JSON object with every key, or breaks the schema.
     """
     rows, lines = [], []
+    scan = json.JSONDecoder().scan_once
     with open(path, "rb") as fh:
         for ln, line in enumerate(fh, start=1):
             try:
                 line = line.decode("utf-8").strip()
                 if line:
-                    obj = json.loads(line)
+                    try:
+                        obj, end = scan(line, 0)
+                    except StopIteration:
+                        end = -1
+                    if end != len(line):  # raises: strip() left no whitespace for it to skip
+                        obj = json.loads(line)
                     if type(obj) is not dict:
                         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
                     rows.append(_fields(obj))

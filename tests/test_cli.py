@@ -280,6 +280,32 @@ class TestSearchCommand:
             ["random", count, hv, "0.0"] for count, hv in trace
         ]
 
+    def test_failed_arm_does_not_hide_a_degenerate_scale(self, tmp_path, free_space, capsys):
+        # Seed 0 misses the table; seed 1's two rows share the second objective.
+        table = {
+            (a, b, c): (float(a + b + c), 1.0)
+            for a in range(4)
+            for b in range(3)
+            for c in range(2)
+            if a >= 2
+        }
+        csv_path = tmp_path / "table.csv"
+        TabularEvaluator(free_space, table, 2).write_csv(csv_path)
+        cfg = base_config(
+            tmp_path,
+            space=write_toy_space(tmp_path, free_space),
+            evaluator={"kind": "tabular", "path": str(csv_path), "missing_policy": "error"},
+            budget=2,
+            seeds=[0, 1],
+        )
+        assert main(["search", "-c", write_config(tmp_path, cfg)]) == 3
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 2
+        assert err_lines[0].startswith("arm random_seed0 failed: ")
+        assert err_lines[1].startswith("error: degenerate objective scale: ")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"] == err_lines[1][len("error: "):]
+
     def test_tabular_nearest_reject_completes(self, tmp_path, free_space):
         table = {
             (a, b, c): (float(a + b + c), float(a))

@@ -677,10 +677,10 @@ class TestNsga2:
             population_size=8, max_evaluations=30, seed=4
         ))
         G, V = out.population
-        for g, values in zip(map(tuple, G.tolist()), map(tuple, V.tolist())):
-            m = out.store.get(g)
-            assert m is not None
-            assert values == m.values
+        row = {g: i for i, g in enumerate(map(tuple, out.store.genotype_matrix().tolist()))}
+        for g, values in zip(map(tuple, G.tolist()), V.tolist()):
+            assert g in row
+            assert values == out.store.values_matrix()[row[g]].tolist()
 
     def test_small_space_terminates_via_stall_guard(self, masked_space):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))

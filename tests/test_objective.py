@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -59,9 +60,9 @@ class TestEvaluationStore:
 
     def test_duplicate_reported_not_stored(self):
         store = self.make_store()
-        (first,) = store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t")
-        assert store.insert_batch([(0, 1, 0, 0)], [(9.0, 9.0)], source="t") == []
-        assert store.get((0, 1, 0, 0)) is first
+        assert store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t") == 1
+        assert store.insert_batch([(0, 1, 0, 0)], [(9.0, 9.0)], source="t") == 0
+        assert store.values_matrix().tolist() == [[1.0, 2.0]]
         assert len(store) == 1
 
     def test_stored_and_repeated_genotypes_skipped(self):
@@ -73,12 +74,13 @@ class TestEvaluationStore:
             source="t",
             iteration=2,
         )
-        assert [(m.eval_index, m.genotype, m.values) for m in new] == [
-            (2, (1, 2, 1, 0), (3.0, 4.0)),
-            (3, (0, 2, 0, 1), (5.0, 6.0)),
+        assert new == 2
+        assert [(m.eval_index, m.genotype, m.values, m.iteration) for m in store][1:] == [
+            (2, (1, 2, 1, 0), (3.0, 4.0), 2),
+            (3, (0, 2, 0, 1), (5.0, 6.0), 2),
         ]
-        assert list(store)[1:] == new
-        assert store.get((0, 1, 0, 0)).values == (1.0, 2.0)
+        assert store.genotype_matrix().tolist() == [[0, 1, 0, 0], [1, 2, 1, 0], [0, 2, 0, 1]]
+        assert store.values_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     def test_non_canonical_insert_rejected(self):
         store = self.make_store()
@@ -104,6 +106,69 @@ class TestEvaluationStore:
         with pytest.raises(MalformedGenotypeError, match=r"row 1, position 1 \(s1\)"):
             store.insert_batch([(0, 1, 0, 0), (0, 3, 0, 0)], [(1.0, 2.0)] * 2, source="t")
         assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            ({"source": 3}, "source must be a string, got 3"),
+            ({"iteration": True}, "iteration must be an int, got True"),
+            ({"iteration": 1.5}, "iteration must be an int, got 1.5"),
+            ({"iteration": np.int64(2)}, "iteration must be an int, got np.int64(2)"),
+        ],
+        ids=["int-source", "bool-iteration", "float-iteration", "numpy-iteration"],
+    )
+    def test_tags_the_file_cannot_hold_are_refused(self, tags, message):
+        space = builtin_space("mobilenetv3")
+        store = EvaluationStore(space, two_objectives())
+        G = space.sample_batch(np.random.default_rng(0), 3)
+        with pytest.raises(StoreContractError, match=re.escape(message)):
+            store.insert_batch(G, np.ones((3, 2)), **({"source": "t"} | tags))
+        assert len(store) == 0
+
+    def test_rows_match_a_dict_and_list_reference_across_growths(self):
+        space = builtin_space("mobilenetv3")
+        store = EvaluationStore(space, two_objectives())
+        rng = np.random.default_rng(5)
+        pool = space.sample_batch(rng, 120)  # drawn with replacement below: repeats
+        position, rows = {}, []
+        for it in range(40):
+            G = pool[rng.integers(0, len(pool), rng.integers(1, 30))]
+            V = rng.normal(size=(len(G), 2))
+            new = 0
+            for g, v in zip(map(tuple, G.tolist()), V.tolist()):
+                if g not in position:
+                    position[g] = len(rows)
+                    rows.append((len(rows) + 1, g, tuple(v), f"s{it % 3}", it))
+                    new += 1
+            assert store.insert_batch(G, V, source=f"s{it % 3}", iteration=it) == new
+        assert len(store) == len(rows) == len(position) > 64  # several doublings
+        assert [tuple(vars(m).values()) for m in store] == rows
+        assert store.genotype_matrix().tolist() == [list(r[1]) for r in rows]
+        assert store.values_matrix().tolist() == [list(r[2]) for r in rows]
+        assert all(g in store for g in position)
+
+    def test_values_matrix_is_a_read_only_view_that_keeps_its_rows(self):
+        store = self.make_store()
+        store.insert_batch([(0, 1, 0, 0), (1, 2, 1, 0)], [(1.0, 2.0), (3.0, 4.0)], source="t")
+        first = store.values_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 9.0
+        store.insert_batch([(0, 2, 0, 1)], [(5.0, 6.0)], source="t")  # the arrays grow
+        second = store.values_matrix()
+        store.insert_batch([(1, 0, 2, 1)], [(7.0, 8.0)], source="t")  # appends in place
+        assert first.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert second.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert store.values_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]
+
+    def test_genotype_matrix_is_int64_on_a_wide_space(self):
+        wide = SearchSpace(
+            "wide", (DesignVariable("x", tuple(range(10_001))), DesignVariable("y", (0, 1, 2)))
+        )
+        store = EvaluationStore(wide, two_objectives())
+        store.insert_batch([(10_000, 2), (256, 1), (255, 0)], np.ones((3, 2)), source="t")
+        G = store.genotype_matrix()
+        assert G.dtype == np.int64
+        assert G.tolist() == [[10_000, 2], [256, 1], [255, 0]]
 
     def test_jsonl_roundtrip_and_determinism(self, tmp_path):
         store = self.make_store()
@@ -268,6 +333,35 @@ class TestJsonlCodec:
             store.to_jsonl(path, ext)
             assert path.read_text(encoding="utf-8") == reference_jsonl(store, ext)
         assert read_measurements_jsonl(path) == list(store)
+
+    def test_writer_keys_and_cells_follow_json_dumps(self, tmp_path):
+        store = landscape_store(300)
+        n = len(store)
+        extra = {
+            "{b}": [math.nan if i == 7 else i / 3 for i in range(n)],
+            "source": np.arange(n) / 9.0,
+            "Z": [math.inf] * n,
+        }
+        path = tmp_path / "w.jsonl"
+        store.to_jsonl(path, extra)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(store, extra)
+        with pytest.raises(ValueError, match="every extra column needs 300 values, one per row"):
+            store.to_jsonl(path, {"Z": [1.0] * (n - 1)})
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([json.dumps(GOOD) + ", " + json.dumps(GOOD)], "bad.jsonl:2: Extra data"),
+            ([json.dumps(GOOD) + json.dumps(GOOD)], "bad.jsonl:2: Extra data"),
+            ([json.dumps(GOOD)[:17], json.dumps(GOOD)[17:]],
+             "bad.jsonl:2: Expecting property name enclosed in double quotes"),
+        ],
+        ids=["two-objects", "two-objects-no-space", "split-object"],
+    )
+    def test_each_line_holds_one_whole_object(self, tmp_path, lines, message):
+        path = self.written(tmp_path, *lines)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_measurement_columns(path)
 
     @pytest.mark.parametrize(
         "change, message",
