@@ -100,15 +100,6 @@ class SearchOutcome:
     generations: int
 
 
-def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Partition rows into Pareto fronts (index arrays, ascending, best first)."""
-    F = np.asarray(objectives, dtype=np.float64)
-    if F.ndim != 2 or F.shape[0] == 0:
-        raise ValueError("need a non-empty (N, m) objective matrix")
-    ranks = _ranks(F)
-    return np.split(np.argsort(ranks, kind="stable"), np.cumsum(np.bincount(ranks))[:-1])
-
-
 def _crowding(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding of every row within its front; one (rank, column) sort per column.
 
@@ -133,14 +124,6 @@ def _crowding(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             crowd[order[inner]] += (c[inner + 1] - c[inner - 1]) / (hi - lo)[front[inner]]
     return crowd
-
-
-def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
-    """Crowding distance within one front (see :func:`_crowding`)."""
-    F = np.asarray(front_objectives, dtype=np.float64)
-    if F.ndim != 2 or F.shape[0] == 0:
-        raise ValueError("need a non-empty (k, m) objective matrix")
-    return _crowding(F, np.zeros(len(F), dtype=np.int64))
 
 
 def rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

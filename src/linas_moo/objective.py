@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .space import (
-    Genotype, SearchSpace, format_genotype, format_genotypes, parse_genotype, parse_genotypes,
+    Genotype, SearchSpace, format_genotype, format_genotypes, parse_genotypes,
 )
 
 MINIMIZE = "minimize"
@@ -499,11 +499,8 @@ class SyntheticLandscape:
         arr = np.asarray(self.pair_indices, dtype=np.int64)
         return arr[:, 0], arr[:, 1]
 
-    def quality_score(self, genotype: Genotype) -> float:
-        """Pre-squash quality: bias + linear + pairwise terms."""
-        return float(self._quality_batch(self.space.unit_coordinates_batch([genotype]))[0])
-
     def _quality_batch(self, U: np.ndarray) -> np.ndarray:
+        """Pre-squash quality of unit-coordinate rows: bias + linear + pairwise terms."""
         # Row-wise sums, not BLAS mat-vecs, keep each row's value independent
         # of the batch it sits in.
         q = (U * self.quality_weights).sum(axis=1) + self.bias
@@ -553,7 +550,7 @@ def _genotype_table(path, space: SearchSpace, where, values) -> dict[Genotype, t
     except ValueError:
         for i, (ln, text) in enumerate(where):  # name the first bad line
             try:
-                space.validate(parse_genotype(text))
+                space.validate_batch(parse_genotypes([text]))
             except ValueError as exc:
                 _genotype_table(path, space, where[:i], values)  # an earlier duplicate first
                 raise ValueError(f"{path}:{ln}: {exc}") from exc

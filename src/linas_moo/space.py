@@ -136,11 +136,6 @@ def format_genotype(genotype: Genotype) -> str:
     return format_genotypes([genotype])[0]
 
 
-def parse_genotype(text: str) -> Genotype:
-    """One-row view of :func:`parse_genotypes`."""
-    return tuple(parse_genotypes([text])[0].tolist())
-
-
 @dataclass(frozen=True)
 class DesignVariable:
     """One categorical design decision.
@@ -312,20 +307,14 @@ class SearchSpace:
         where = f"row {row}, position {position}" if batch > 1 else f"position {position}"
         return MalformedGenotypeError(f"{where} ({name}): {what}")
 
-    def validate(self, genotype: Genotype) -> None:
-        """One-row view of :meth:`validate_batch`."""
-        self.validate_batch([genotype])
-
-    def active_mask(self, genotype: Genotype) -> tuple[bool, ...]:
-        """One-row view of :meth:`active_mask_batch`, validated."""
-        return tuple(self.active_mask_batch(self.validate_batch([genotype]))[0].tolist())
-
-    def canonicalize(self, genotype: Genotype) -> Genotype:
-        """One-row view of :meth:`canonicalize_batch`, validated."""
-        return tuple(self.canonicalize_batch(self.validate_batch([genotype]))[0].tolist())
-
     def is_canonical(self, genotype: Genotype) -> bool:
-        return self.canonicalize(genotype) == tuple(genotype)
+        """Whether one genotype equals its canonical form.
+
+        Raises:
+            MalformedGenotypeError: on a malformed row, as :meth:`validate_batch`.
+        """
+        G = self.validate_batch([genotype])
+        return bool((self.canonicalize_batch(G) == G).all())
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``(count, n)`` canonical genotypes, each variable index drawn uniformly.
@@ -337,10 +326,6 @@ class SearchSpace:
         """
         raw = rng.integers(0, self.option_counts, size=(count, self.n_variables))
         return self.canonicalize_batch(raw)
-
-    def sample_uniform(self, rng: np.random.Generator) -> Genotype:
-        """One-row view of :meth:`sample_batch`."""
-        return tuple(self.sample_batch(rng, 1)[0].tolist())
 
     def active_mask_batch(self, genotypes: np.ndarray) -> np.ndarray:
         """Per-variable activity of a ``(B, n)`` int array under its controller choices.
@@ -365,23 +350,6 @@ class SearchSpace:
     def unit_denominators(self) -> np.ndarray:
         """``max(k_i - 1, 1)`` per variable, float: canonical ``G / this`` is unit coordinates."""
         return np.maximum(self.option_counts - 1, 1).astype(np.float64)
-
-    def unit_coordinates_batch(self, genotypes) -> np.ndarray:
-        """Map ``(B, n)`` genotypes to unit-interval coordinates.
-
-        Position i becomes ``index / (k_i - 1)``; single-option and inactive
-        positions become 0.0. The genotypes are canonicalized first.
-        """
-        return self.canonicalize_batch(genotypes) / self.unit_denominators
-
-    def decode(self, genotype: Genotype) -> dict[str, int]:
-        """Map a genotype to ``{variable name: option value}`` for active variables only."""
-        mask = self.active_mask(genotype)
-        return {
-            var.name: var.options[idx]
-            for var, idx, on in zip(self.variables, genotype, mask)
-            if on
-        }
 
     def cardinality(self) -> int:
         """Exact count of distinct configurations (exact integer arithmetic).

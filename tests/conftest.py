@@ -40,10 +40,22 @@ def make_masked_space() -> SearchSpace:
     )
 
 
+def canonical_oracle(space: SearchSpace, raw) -> tuple[int, ...]:
+    """Canonical form of one raw index vector by plain loops over the rules:
+    every dependent that its controller's option leaves inactive becomes 0."""
+    g = list(raw)
+    for rule in space.rules:
+        active = rule.activation[raw[rule.controller]]
+        for d in rule.dependents:
+            if d not in active:
+                g[d] = 0
+    return tuple(g)
+
+
 def enumerate_canonicals(space: SearchSpace) -> set[tuple[int, ...]]:
     """Exhaustive oracle: canonical forms of every raw index vector."""
     axes = [range(len(v.options)) for v in space.variables]
-    return {space.canonicalize(raw) for raw in itertools.product(*axes)}
+    return {canonical_oracle(space, raw) for raw in itertools.product(*axes)}
 
 
 def hard_objective_matrices(seed: int, count: int, ms=(2,), max_n: int = 300):

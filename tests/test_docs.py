@@ -1,5 +1,7 @@
-"""The README's library example and the package's export list stay true."""
+"""The README's example, the API names it mentions and the export list stay true."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -22,3 +24,26 @@ def test_every_exported_name_resolves():
     missing = [name for name in linas_moo.__all__ if not hasattr(linas_moo, name)]
     assert missing == []
     assert len(set(linas_moo.__all__)) == len(linas_moo.__all__)
+
+
+# A backticked `Name`, `Name.attr`, either optionally called with arguments.
+API_NAME = re.compile(r"([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?")
+
+
+def test_every_readme_api_name_resolves():
+    modules = {m.name for m in pkgutil.iter_modules(linas_moo.__path__)}
+    checked, missing = set(), []
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        match = API_NAME.fullmatch(span)
+        if not match or match.group(1) not in {*linas_moo.__all__, *modules}:
+            continue
+        name, attr = match.groups()
+        checked.add((name, attr))
+        if name in modules:
+            owner = importlib.import_module(f"linas_moo.{name}")
+        else:
+            owner = getattr(linas_moo, name)
+        if attr is not None and not hasattr(owner, attr):
+            missing.append(span)
+    assert missing == []
+    assert len(checked) >= 20

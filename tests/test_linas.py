@@ -101,14 +101,14 @@ class TestPredictorEvaluator:
     def test_returns_exact_model_predictions(self):
         space, land = small_problem()
         rng = np.random.default_rng(0)
-        genotypes = [space.sample_uniform(rng) for _ in range(40)]
+        genotypes = space.sample_batch(rng, 40)
         X = featurize_batch(space, genotypes)
         Y = land.evaluate_batch(genotypes)
         models = tuple(
             RidgeModel().fit(X, Y[:, j]) for j in range(2)
         )
         surrogate = PredictorEvaluator(space, models)
-        probe = [space.sample_uniform(rng) for _ in range(15)]
+        probe = space.sample_batch(rng, 15)
         Xp = featurize_batch(space, probe)
         batch = surrogate.evaluate_batch(probe)
         for j, model in enumerate(models):
@@ -132,7 +132,7 @@ class FixedModel:
 
 def fitted_surrogate(space, land, n=40, seed=0):
     rng = np.random.default_rng(seed)
-    genotypes = [space.sample_uniform(rng) for _ in range(n)]
+    genotypes = space.sample_batch(rng, n)
     X = featurize_batch(space, genotypes)
     Y = land.evaluate_batch(genotypes)
     return PredictorEvaluator(space, tuple(RidgeModel().fit(X, Y[:, j]) for j in range(2)))

@@ -26,6 +26,7 @@ from linas_moo.objective import (
     ObjectiveSpec,
     SyntheticLandscape,
 )
+from linas_moo.moea import draw_unseen
 from linas_moo.space import builtin_space
 
 
@@ -195,10 +196,8 @@ class TestHvTrace:
         space = builtin_space("mobilenetv3")
         land = SyntheticLandscape.from_seed(space, seed=seed)
         store = EvaluationStore(space, ACC_LAT)
-        rng = np.random.default_rng(seed)
-        while len(store) < n:
-            g = space.sample_uniform(rng)
-            store.insert_batch([g], land.evaluate_batch([g]), source="random")
+        G = np.array(draw_unseen(space, np.random.default_rng(seed), n, ())[0])
+        store.insert_batch(G, land.evaluate_batch(G), source="random")
         return store
 
     def test_counts_are_stride_multiples_plus_final(self):
@@ -229,7 +228,7 @@ class TestHvTrace:
         store = EvaluationStore(space, ACC_LAT)
         rng = np.random.default_rng(seed)
         while len(store) < n:
-            g = space.sample_uniform(rng)
+            g = space.sample_batch(rng, 1)[0]
             values = [[70.0 + rng.integers(0, 4), 5.0 + rng.integers(0, 4)]]
             store.insert_batch([g], np.array(values), source="random")
         return store

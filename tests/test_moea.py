@@ -14,10 +14,8 @@ from linas_moo.moea import (
     EaConfig,
     SpaceExhaustedError,
     crossover_two_point,
-    crowding_distance,
     draw_unseen,
     environmental_selection,
-    fast_nondominated_sort,
     mutate,
     rank_and_crowd,
     run_nsga2,
@@ -62,6 +60,12 @@ def fronts_oracle(F):
     return fronts
 
 
+def fronts_of(F):
+    """Fronts of ``rank_and_crowd``'s ranks, best first, members in index order."""
+    ranks = rank_and_crowd(F)[0]
+    return [np.flatnonzero(ranks == r) for r in range(int(ranks.max()) + 1)]
+
+
 def front_genotypes(out, objectives):
     """Genotypes of the non-dominated rows of a search's population."""
     G, V = out.population
@@ -93,12 +97,12 @@ class TestFastNondominatedSort:
                 [5.0, 6.0],  # dominated by everything above
             ]
         )
-        fronts = fast_nondominated_sort(F)
+        fronts = fronts_of(F)
         assert [set(f.tolist()) for f in fronts] == [{0, 1, 2}, {3, 4}, {5}]
 
     def test_identical_rows_share_front_zero(self):
         F = np.ones((5, 2))
-        fronts = fast_nondominated_sort(F)
+        fronts = fronts_of(F)
         assert len(fronts) == 1
         assert set(fronts[0].tolist()) == {0, 1, 2, 3, 4}
 
@@ -106,23 +110,23 @@ class TestFastNondominatedSort:
         # Fronts list their members in ascending index order:
         # environmental selection cuts crowding ties by that order.
         for F in hard_objective_matrices(seed=23, count=100, ms=(1, 2, 2, 3)):
-            got = [f.tolist() for f in fast_nondominated_sort(F)]
+            got = [f.tolist() for f in fronts_of(F)]
             assert got == [sorted(f) for f in fronts_oracle(F.tolist())]
 
     def test_nan_rows_stay_in_front_zero_and_dominate_nothing(self):
         nan = math.nan
         F = np.array([[1.0, 1.0], [nan, 0.0], [2.0, 2.0], [nan, nan], [0.0, 3.0], [3.0, nan]])
-        assert [f.tolist() for f in fast_nondominated_sort(F)] == [[0, 1, 3, 4, 5], [2]]
+        assert [f.tolist() for f in fronts_of(F)] == [[0, 1, 3, 4, 5], [2]]
         rng = np.random.default_rng(29)
         for F in hard_objective_matrices(seed=29, count=30, max_n=100):
             F[rng.random(len(F)) < 0.2, int(rng.integers(0, 2))] = nan
-            got = [f.tolist() for f in fast_nondominated_sort(F)]
+            got = [f.tolist() for f in fronts_of(F)]
             assert got == [sorted(f) for f in fronts_oracle(F.tolist())]
 
     def test_fronts_partition_indices(self):
         rng = np.random.default_rng(3)
         F = rng.random((30, 2))
-        fronts = fast_nondominated_sort(F)
+        fronts = fronts_of(F)
         flat = np.concatenate(fronts)
         assert sorted(flat.tolist()) == list(range(30))
 
@@ -136,45 +140,49 @@ class TestFastNondominatedSort:
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
-            fast_nondominated_sort(np.empty((0, 2)))
+            rank_and_crowd(np.empty((0, 2)))
 
 
 class TestCrowdingDistance:
+    """Hand cases on inputs that form a single front."""
+
+    def crowding(self, F):
+        ranks, crowd = rank_and_crowd(np.array(F))
+        assert not ranks.any()
+        return crowd
+
     def test_hand_value(self):
-        F = np.array([[1.0, 5.0], [2.0, 3.0], [4.0, 2.0]])
-        d = crowding_distance(F)
+        d = self.crowding([[1.0, 5.0], [2.0, 3.0], [4.0, 2.0]])
         assert d[0] == math.inf and d[2] == math.inf
         assert d[1] == pytest.approx((4 - 1) / 3 + (5 - 2) / 3)
 
     def test_pair_is_all_boundary(self):
-        d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        d = self.crowding([[0.0, 1.0], [1.0, 0.0]])
         assert list(d) == [math.inf, math.inf]
 
     def test_zero_range_objective_contributes_nothing(self):
-        F = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
-        d = crowding_distance(F)
+        d = self.crowding([[1.0, 3.0, 7.0], [2.0, 2.0, 7.0], [3.0, 1.0, 7.0]])
         assert d[0] == math.inf and d[2] == math.inf
-        assert d[1] == pytest.approx((3 - 1) / (3 - 1))
+        assert d[1] == pytest.approx((3 - 1) / (3 - 1) + (3 - 1) / (3 - 1))
 
     def test_fully_degenerate_front_is_zero(self):
-        d = crowding_distance(np.ones((4, 2)))
+        d = self.crowding(np.ones((4, 2)))
         assert list(d) == [0.0, 0.0, 0.0, 0.0]
 
     def test_equally_spaced_interior(self):
-        F = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
-        d = crowding_distance(F)
+        d = self.crowding([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         assert d[0] == math.inf and d[3] == math.inf
         assert d[1] == pytest.approx(4.0 / 3.0)
         assert d[2] == pytest.approx(4.0 / 3.0)
 
     def test_rank_and_crowd_consistency(self):
+        # A front's crowding within the pool equals its crowding on its own.
         rng = np.random.default_rng(17)
         F = rng.integers(0, 5, size=(30, 2)).astype(float)
         ranks, crowd = rank_and_crowd(F)
         for members in fronts_oracle(F):
             idx = sorted(members)
-            sub = crowding_distance(F[idx])
-            assert np.array_equal(crowd[idx], sub)
+            assert np.array_equal(crowd[idx], self.crowding(F[idx]))
             assert len({int(ranks[i]) for i in idx}) == 1
 
 
@@ -352,12 +360,12 @@ def crowding_reference(F):
 def rank_and_crowd_reference(F):
     """Per-front ranks and crowding: one crowding_reference call per front.
 
-    Fronts come from fast_nondominated_sort, whose fronts and their order
-    are pinned against the loop oracle above.
+    Fronts come from :func:`fronts_of`, whose fronts and their order are
+    pinned against the loop oracle above.
     """
     ranks = np.empty(len(F), dtype=np.int64)
     crowd = np.empty(len(F))
-    for r, members in enumerate(fast_nondominated_sort(F)):
+    for r, members in enumerate(fronts_of(F)):
         ranks[members] = r
         crowd[members] = crowding_reference(F[members])
     return ranks, crowd
@@ -367,7 +375,7 @@ def selection_reference(G, F, pop_size):
     """Per-front NSGA-II selection: whole fronts in index order, then the
     boundary front by descending crowding with index order among ties."""
     chosen, filled = [], 0
-    for members in fast_nondominated_sort(F):
+    for members in fronts_of(F):
         dist = crowding_reference(F[members])
         if filled + len(members) > pop_size:
             members = members[np.argsort(-dist, kind="stable")[: pop_size - filled]]
@@ -406,8 +414,8 @@ class TestWholePoolRankAndCrowd:
             ref_ranks, ref_crowd = rank_and_crowd_reference(F)
             assert same_bits(ranks, ref_ranks)
             assert same_bits(crowd, ref_crowd)
-            front = fast_nondominated_sort(F)[0]
-            assert same_bits(crowding_distance(F[front]), crowding_reference(F[front]))
+            front = fronts_of(F)[0]
+            assert same_bits(rank_and_crowd(F[front])[1], crowding_reference(F[front]))
 
     def test_selection_matches_reference_in_order(self):
         rng = np.random.default_rng(37)
@@ -415,7 +423,7 @@ class TestWholePoolRankAndCrowd:
         for F in hard_objective_matrices(seed=37, count=200, ms=(1, 2, 2, 3)):
             G = rng.integers(0, 9, size=(len(F), 3))
             # A front boundary is an exact fill; the random sizes mostly cut.
-            sizes = np.cumsum([len(f) for f in fast_nondominated_sort(F)])
+            sizes = np.cumsum([len(f) for f in fronts_of(F)])
             sizes = rng.choice(sizes, size=min(4, len(sizes)), replace=False)
             exact_fills += len(sizes)
             for pop_size in {*sizes.tolist(), *rng.integers(1, len(F) + 1, size=3).tolist()}:
@@ -573,7 +581,7 @@ def draw_unseen_reference(space, rng, count, seen):
     """Distinct unseen draws taken one row at a time, and the count of other draws."""
     out, misses = [], 0
     while len(out) < count:
-        g = space.sample_uniform(rng)
+        g = tuple(space.sample_batch(rng, 1)[0].tolist())
         if g not in seen and g not in out:
             out.append(g)
         else:

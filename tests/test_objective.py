@@ -27,6 +27,7 @@ from linas_moo.objective import (
     read_measurement_columns,
     read_measurements_jsonl,
 )
+from linas_moo.predictor import featurize_batch
 from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace, builtin_space
 
 
@@ -54,7 +55,7 @@ class TestEvaluationStore:
         rng = np.random.default_rng(3)
         while len(store) < 15:
             # Batches with repeats and stored genotypes keep indices gapless.
-            batch = [space.sample_uniform(rng) for _ in range(4)]
+            batch = space.sample_batch(rng, 4)
             store.insert_batch(batch, [(1.0, 2.0)] * 4, source="t")
         assert [m.eval_index for m in store] == list(range(1, len(store) + 1))
 
@@ -174,7 +175,7 @@ class TestEvaluationStore:
         store = self.make_store()
         rng = np.random.default_rng(7)
         while len(store) < 10:
-            g = store.space.sample_uniform(rng)
+            g = store.space.sample_batch(rng, 1)[0]
             store.insert_batch(
                 [g], [(float(rng.normal()), float(rng.normal()))], source="t", iteration=2
             )
@@ -574,9 +575,9 @@ class TestSyntheticLandscape:
         space = make_free_space()
         land = SyntheticLandscape.from_seed(space, seed=11, rho=1.0)
         rng = np.random.default_rng(0)
-        gs = [space.sample_uniform(rng) for _ in range(10_000)]
-        q = np.array([land.quality_score(g) for g in gs])
-        lat = land.evaluate_batch(gs)[:, 1]
+        G = space.sample_batch(rng, 10_000)
+        q = land._quality_batch(featurize_batch(space, G))
+        lat = land.evaluate_batch(G)[:, 1]
         r = np.corrcoef(q, lat)[0, 1]
         assert r > 0.5
 
@@ -596,7 +597,7 @@ class TestSyntheticLandscape:
         noisy = SyntheticLandscape.from_seed(space, seed=9, rho=0.0, noise_sd=sigma)
         clean = SyntheticLandscape.from_seed(space, seed=9, rho=0.0, noise_sd=0.0)
         rng = np.random.default_rng(1)
-        gs = list({space.sample_uniform(rng) for _ in range(500)})
+        gs = list(set(map(tuple, space.sample_batch(rng, 500).tolist())))
         deltas = noisy.evaluate_batch(gs)[:, 0] - clean.evaluate_batch(gs)[:, 0]
         assert abs(float(np.mean(deltas))) < 0.1
         assert 0.8 * sigma < float(np.std(deltas)) < 1.2 * sigma
@@ -607,7 +608,7 @@ class TestSyntheticLandscape:
         space = make_masked_space()
         land = SyntheticLandscape.from_seed(space, seed=4, rho=0.7, noise_sd=noise_sd)
         rng = np.random.default_rng(8)
-        G = np.array([space.sample_uniform(rng) for _ in range(size)])
+        G = space.sample_batch(rng, size)
         batch = land.evaluate_batch(G)
         for i in range(size):
             assert np.array_equal(batch[i], land.evaluate_batch(G[i : i + 1])[0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import enumerate_canonicals, make_free_space, make_masked_space
+from conftest import canonical_oracle, enumerate_canonicals, make_free_space, make_masked_space
 from linas_moo.space import (
     BUILTIN_SPACES,
     DependencyRule,
@@ -20,7 +20,6 @@ from linas_moo.space import (
     builtin_space,
     format_genotype,
     format_genotypes,
-    parse_genotype,
     parse_genotypes,
 )
 
@@ -95,16 +94,19 @@ class TestConstructionValidation:
 
 class TestGenotypeChecks:
     def test_wrong_length_rejected(self, free_space):
-        with pytest.raises(MalformedGenotypeError):
-            free_space.validate((0, 0))
+        message = "position 2 (c): genotype length 2 != 3 variables"
+        with pytest.raises(MalformedGenotypeError, match=f"^{re.escape(message)}$"):
+            free_space.validate_batch([(0, 0)])
 
     def test_out_of_range_index_rejected(self, free_space):
-        with pytest.raises(MalformedGenotypeError):
-            free_space.validate((0, 3, 0))
+        message = "position 1 (b): index 3 outside 0..2"
+        with pytest.raises(MalformedGenotypeError, match=f"^{re.escape(message)}$"):
+            free_space.validate_batch([(0, 3, 0)])
 
     def test_non_integer_rejected(self, free_space):
-        with pytest.raises(MalformedGenotypeError):
-            free_space.validate((0.5, 0, 0))
+        message = "position 0 (a): index 0.5 is not an int"
+        with pytest.raises(MalformedGenotypeError, match=f"^{re.escape(message)}$"):
+            free_space.validate_batch([(0.5, 0, 0)])
 
     @pytest.mark.parametrize(
         "batch, message",
@@ -127,9 +129,9 @@ class TestGenotypeChecks:
 
     def test_format_parse_roundtrip(self):
         assert format_genotype((0, 2, 1)) == "0-2-1"
-        assert parse_genotype("0-2-1") == (0, 2, 1)
+        assert parse_genotypes(["0-2-1"]).tolist() == [[0, 2, 1]]
         with pytest.raises(MalformedGenotypeError):
-            parse_genotype("0-x-1")
+            parse_genotypes(["0-x-1"])
 
 
 class TestGenotypeCodec:
@@ -149,7 +151,6 @@ class TestGenotypeCodec:
     def test_one_row_views(self):
         G = np.array([[0, 12, 3], [4, 0, 999_999_999_999]])
         assert [format_genotype(tuple(g)) for g in G.tolist()] == format_genotypes(G)
-        assert [parse_genotype(t) for t in format_genotypes(G)] == list(map(tuple, G.tolist()))
         assert format_genotypes(np.empty((0, 3), dtype=np.int64)) == []
         assert parse_genotypes([]).shape == (0, 0)
 
@@ -159,8 +160,9 @@ class TestGenotypeCodec:
          "1.0-2", "1-2-", "1234567890123456789-1"],
     )
     def test_only_ascii_digit_runs_parse(self, text):
-        with pytest.raises(MalformedGenotypeError, match="unparseable genotype string"):
-            parse_genotype(text)
+        message = f"unparseable genotype string: {text!r}"
+        with pytest.raises(MalformedGenotypeError, match=f"^{re.escape(message)}$"):
+            parse_genotypes([text])
         message = f"row 2: unparseable genotype string: {text!r}"
         with pytest.raises(MalformedGenotypeError, match=re.escape(message)):
             parse_genotypes(["0-1", "2-3", text, "4-5"])
@@ -177,49 +179,42 @@ class TestGenotypeCodec:
 
 class TestCanonicalization:
     def test_inactive_positions_zeroed(self, masked_space):
-        # depth index 0 (value 1) leaves slot 2 inactive.
-        assert masked_space.canonicalize((0, 2, 1, 1)) == (0, 2, 0, 1)
-        # depth index 1 (value 2) keeps both slots.
-        assert masked_space.canonicalize((1, 2, 1, 1)) == (1, 2, 1, 1)
+        # depth index 0 (value 1) leaves slot 2 inactive; depth index 1 (value 2) keeps both.
+        G = masked_space.canonicalize_batch([(0, 2, 1, 1), (1, 2, 1, 1)])
+        assert G.tolist() == [[0, 2, 0, 1], [1, 2, 1, 1]]
+
+    def test_matches_loop_oracle(self, masked_space):
+        axes = [range(len(v.options)) for v in masked_space.variables]
+        raws = list(itertools.product(*axes))
+        got = masked_space.canonicalize_batch(raws).tolist()
+        assert list(map(tuple, got)) == [canonical_oracle(masked_space, raw) for raw in raws]
+        rng = np.random.default_rng(13)
+        for name in BUILTIN_SPACES:
+            space = builtin_space(name)
+            raws = rng.integers(0, space.option_counts, size=(200, space.n_variables)).tolist()
+            got = space.canonicalize_batch(raws).tolist()
+            assert list(map(tuple, got)) == [canonical_oracle(space, raw) for raw in raws]
 
     def test_idempotent(self, masked_space):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            g = tuple(
-                int(rng.integers(0, len(v.options))) for v in masked_space.variables
-            )
-            once = masked_space.canonicalize(g)
-            assert masked_space.canonicalize(once) == once
+        raw = rng.integers(0, masked_space.option_counts, size=(200, masked_space.n_variables))
+        once = masked_space.canonicalize_batch(raw)
+        assert np.array_equal(masked_space.canonicalize_batch(once), once)
 
     def test_masked_flip_is_invisible(self, masked_space):
         # Changing an inactive slot must not change the canonical form.
-        base = masked_space.canonicalize((0, 1, 0, 0))
-        for idx2 in range(3):
-            assert masked_space.canonicalize((0, 1, idx2, 0)) == base
+        G = masked_space.canonicalize_batch([(0, 1, idx2, 0) for idx2 in range(3)])
+        assert (G == G[0]).all()
 
     def test_rule_free_space_is_untouched(self, free_space):
-        for raw in itertools.product(range(4), range(3), range(2)):
-            assert free_space.canonicalize(raw) == raw
+        raws = list(itertools.product(range(4), range(3), range(2)))
+        assert free_space.canonicalize_batch(raws).tolist() == [list(raw) for raw in raws]
 
-
-class TestDecode:
-    def test_values_not_indices(self, free_space):
-        assert free_space.decode((2, 0, 1)) == {"a": 30, "b": 1, "c": 5}
-
-    def test_inactive_variables_omitted(self, masked_space):
-        assert masked_space.decode((0, 2, 1, 1)) == {"depth": 1, "s1": 9, "free": 1}
-        assert masked_space.decode((1, 2, 1, 1)) == {
-            "depth": 2,
-            "s1": 9,
-            "s2": 8,
-            "free": 1,
-        }
-
-    def test_bijective_over_canonicals(self, masked_space):
-        # Every canonical genotype decodes to a distinct configuration.
-        canonicals = enumerate_canonicals(masked_space)
-        decoded = {tuple(sorted(masked_space.decode(g).items())) for g in canonicals}
-        assert len(decoded) == len(canonicals)
+    def test_is_canonical_checks_one_row(self, masked_space):
+        assert not masked_space.is_canonical((0, 2, 1, 1))
+        assert all(masked_space.is_canonical(g) for g in enumerate_canonicals(masked_space))
+        with pytest.raises(MalformedGenotypeError, match="position 1 \\(s1\\): index 3 outside 0..2"):
+            masked_space.is_canonical((0, 3, 0, 0))
 
 
 class TestCardinality:
@@ -256,9 +251,9 @@ class TestCardinality:
 
 
 def reference_draw(space, rng):
-    """One scalar ``integers`` call per variable, then canonicalize."""
+    """One scalar ``integers`` call per variable, then the loop oracle's canonical form."""
     raw = tuple(int(rng.integers(0, len(v.options))) for v in space.variables)
-    return space.canonicalize(raw)
+    return canonical_oracle(space, raw)
 
 
 SAMPLED_SPACES = [builtin_space(name) for name in BUILTIN_SPACES] + [
@@ -279,36 +274,28 @@ class TestSampling:
             assert list(map(tuple, G.tolist())) == want
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("space", SAMPLED_SPACES, ids=lambda s: s.name)
-    def test_sample_uniform_is_one_row_of_sample_batch(self, space):
-        rng, batch_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(20):
-            assert space.sample_uniform(rng) == tuple(space.sample_batch(batch_rng, 1)[0].tolist())
-        assert rng.bit_generator.state == batch_rng.bit_generator.state
-
     def test_samples_are_canonical_and_valid(self, masked_space):
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            g = masked_space.sample_uniform(rng)
-            masked_space.validate(g)
-            assert masked_space.is_canonical(g)
+        G = masked_space.sample_batch(np.random.default_rng(5), 500)
+        assert np.array_equal(masked_space.validate_batch(G), G)
+        rows = list(map(tuple, G.tolist()))
+        assert [canonical_oracle(masked_space, g) for g in rows] == rows
 
     def test_rule_free_marginals_chi_square(self, free_space):
         # 20k draws; each marginal must look uniform (alpha = 1e-3).
         rng = np.random.default_rng(1234)
-        draws = np.array([free_space.sample_uniform(rng) for _ in range(20_000)])
+        draws = free_space.sample_batch(rng, 20_000)
         for i, var in enumerate(free_space.variables):
             counts = np.bincount(draws[:, i], minlength=len(var.options))
             _, p = stats.chisquare(counts)
             assert p > 1e-3, f"variable {var.name} marginal not uniform (p={p})"
 
     def test_deterministic_given_seed(self, masked_space):
-        a = [masked_space.sample_uniform(np.random.default_rng(9)) for _ in range(10)]
-        b = [masked_space.sample_uniform(np.random.default_rng(9)) for _ in range(10)]
+        a = [masked_space.sample_batch(np.random.default_rng(9), 1).tolist() for _ in range(10)]
+        b = [masked_space.sample_batch(np.random.default_rng(9), 1).tolist() for _ in range(10)]
         # One generator drawn through ten samples, twice from the same seed.
         rng1, rng2 = np.random.default_rng(10), np.random.default_rng(10)
-        c = [masked_space.sample_uniform(rng1) for _ in range(10)]
-        d = [masked_space.sample_uniform(rng2) for _ in range(10)]
+        c = [masked_space.sample_batch(rng1, 1).tolist() for _ in range(10)]
+        d = [masked_space.sample_batch(rng2, 1).tolist() for _ in range(10)]
         assert a == b and c == d
 
 
@@ -336,15 +323,12 @@ class TestBuiltinSpaces:
             builtin_space("vgg")
 
     def test_all_builtins_self_consistent(self):
-        # Sampled genotypes decode, canonicalize idempotently, and validate.
+        # Sampled genotypes validate and canonicalize idempotently.
         for name in BUILTIN_SPACES:
             space = builtin_space(name)
-            rng = np.random.default_rng(42)
-            for _ in range(50):
-                g = space.sample_uniform(rng)
-                assert space.canonicalize(g) == g
-                decoded = space.decode(g)
-                assert set(decoded) <= {v.name for v in space.variables}
+            G = space.sample_batch(np.random.default_rng(42), 50)
+            assert np.array_equal(space.validate_batch(G), G)
+            assert np.array_equal(space.canonicalize_batch(G), G)
 
 
 class TestJsonRoundTrip:
