@@ -4,7 +4,8 @@ Every search measures through its evaluator's ``evaluate_batch``. The real
 searches keep an :class:`EvaluationStore`, so a duplicate offspring reuses
 the stored measurement without consuming budget and the budget counts
 distinct configurations. :func:`nsga2_core` is the NSGA-II loop itself, on
-arrays and its own dedup dict: :func:`run_nsga2` hands it a store to fill,
+arrays: it dedups on byte row keys (:meth:`SearchSpace.row_keys`) that index
+one table of minimized values. :func:`run_nsga2` hands it a store to fill,
 and the predictor-only inner search of LINAS runs it with none. Objectives
 are handled internally in minimization convention; evaluators stay in
 natural directions.
@@ -35,6 +36,7 @@ from .space import Genotype, SearchSpace
 
 _SEARCH_SEED_TAG = 0x5EED
 _ATTEMPT_CAP = 100_000
+_TABLE_ROWS = 256  # initial capacity of nsga2_core's value table
 
 
 class SpaceExhaustedError(RuntimeError):
@@ -333,25 +335,32 @@ def nsga2_core(
 
     Each batch, ``evaluator.evaluate_batch`` gets the distinct canonical rows
     not yet measured, in child order, as one ``(k, n)`` int64 array, never
-    empty and cut at the budget left. Accepted rows join the run's dedup dict
-    and, given a ``store``, are inserted tagged ``"nsga2"`` and their
-    generation. Known offspring cost no budget; rejected and overflow
-    children are dropped. Returns the final genotypes, minimized objectives
-    and generation count.
+    empty and cut at the budget left. Each accepted row's byte key
+    (:meth:`SearchSpace.row_keys`) maps to one row of a growable table that
+    holds its minimized values, written once; given a ``store``, the row is
+    also inserted tagged ``"nsga2"`` and its generation. Known offspring cost
+    no budget and read their values from the table; rejected and overflow
+    children are dropped and never keyed. Returns the final genotypes,
+    minimized objectives and generation count.
     """
     rng = search_rng(config.seed)
     pop = config.population_size
     counts = space.option_counts
     budget_left = config.max_evaluations
-    known: dict[Genotype, tuple[float, ...]] = {}
+    index: dict[bytes, int] = {}  # row key -> row of ``table``
+    table = np.empty((_TABLE_ROWS, len(objectives)))  # minimized values, spare rows at the end
 
-    def measured(rows: np.ndarray, generation: int, limit: int) -> tuple[np.ndarray, list, int]:
-        # Measures the first ``limit`` unseen distinct rows; returns known rows, values, count.
-        keys = list(map(tuple, rows.tolist()))
-        first: dict[Genotype, int] = {}
-        for i, g in enumerate(keys):
-            if g not in known:
-                first.setdefault(g, i)
+    def measured(
+        rows: np.ndarray, generation: int, limit: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        # Measures the first ``limit`` unseen distinct rows; returns known rows, their
+        # minimized values and how many rows were new.
+        nonlocal table
+        keys = space.row_keys(rows)
+        first: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if key not in index:
+                first.setdefault(key, i)
         fresh = list(first.values())[:limit]
         new = 0
         if fresh:
@@ -361,33 +370,37 @@ def nsga2_core(
             new_keys = list(first)[:limit]
             if len(kept) < len(new_keys):  # some rejected
                 new_keys = [new_keys[i] for i in kept.tolist()]
-            known.update(zip(new_keys, map(tuple, V.tolist())))
-            new = len(kept)
-        values = list(map(known.get, keys))
-        keep = [v is not None for v in values]
-        if not all(keep):  # rejected, or past the budget
-            rows, values = rows[keep], list(compress(values, keep))
-        return rows, values, new
+            start, new = len(index), len(kept)
+            if (stop := start + new) > len(table):  # double, or more for a large first batch
+                table = np.pad(table, ((0, max(stop, 2 * len(table)) - len(table)), (0, 0)))
+            table[start:stop] = oriented_values(V, objectives)
+            index.update(zip(new_keys, range(start, stop)))
+        positions = list(map(index.get, keys))
+        if None in positions:  # rejected, or past the budget
+            keep = [p is not None for p in positions]
+            rows, positions = rows[keep], list(compress(positions, keep))
+        return rows, table[positions], new
 
     # Initial population: uniform draws; duplicates allowed and resolved
-    # through ``known``. Rejected configs are resampled. A population never
+    # through ``index``. Rejected configs are resampled. A population never
     # outgrows max_evaluations, so the budget cannot run out here.
     parts: list[np.ndarray] = []
-    values: list[tuple[float, ...]] = []
-    attempts = 0
-    while len(values) < pop:
-        draws = space.sample_batch(rng, pop - len(values))
+    values: list[np.ndarray] = []
+    size = attempts = 0
+    while size < pop:
+        draws = space.sample_batch(rng, pop - size)
         kept, kept_values, new = measured(draws, 0, len(draws))
         budget_left -= new
         parts.append(kept)
-        values.extend(kept_values)
+        values.append(kept_values)
+        size += len(kept)
         attempts += len(draws) - len(kept)
         if attempts >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(
                 f"could not assemble an initial population after {attempts} attempts"
             )
     G = np.concatenate(parts)
-    F = oriented_values(values, objectives)
+    F = np.concatenate(values)
     ranks, crowd = rank_and_crowd(F)
 
     generations = 0
@@ -412,13 +425,14 @@ def nsga2_core(
 
         # Measure: known children are free, new configs spend budget in
         # child order, overflow and rejected children are dropped.
-        children, off_values, new = measured(children, generations, budget_left)
+        children, off_F, new = measured(children, generations, budget_left)
         budget_left -= new
         stall = 0 if new else stall + 1
 
-        if off_values:
-            F_all = np.concatenate([F, oriented_values(off_values, objectives)])
-            G, F, ranks, crowd = environmental_selection(np.concatenate([G, children]), F_all, pop)
+        if len(off_F):
+            G, F, ranks, crowd = environmental_selection(
+                np.concatenate([G, children]), np.concatenate([F, off_F]), pop
+            )
     return G, F, generations
 
 

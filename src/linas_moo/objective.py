@@ -132,8 +132,8 @@ class EvaluationStore:
             raise ValueError("store needs at least one objective")
         self.space = space
         self.objectives = tuple(objectives)
-        dtype = np.min_scalar_type(int(space.option_counts.max()) - 1)  # narrowest for every option
-        self._genotypes = np.empty((0, space.n_variables), dtype)  # both with spare rows at the end
+        # Both arrays keep spare rows at the end.
+        self._genotypes = np.empty((0, space.n_variables), space.index_dtype)
         self._values = np.empty((0, len(self.objectives)))
         self._source, self._iteration = [], []  # one str and one int per row
         self._position: dict[Genotype, int] = {}  # genotype -> row; keys in row order

@@ -261,6 +261,25 @@ class SearchSpace:
         return np.array([len(v.options) for v in self.variables], dtype=np.int64)
 
     @cached_property
+    def index_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every option index (``uint8`` on the built-ins).
+
+        A cast to it is exact only for validated rows: an index outside the
+        options may wrap onto another index.
+        """
+        return np.min_scalar_type(int(self.option_counts.max()) - 1)
+
+    def row_keys(self, genotypes: np.ndarray) -> list[bytes]:
+        """One hashable key per row of a ``(B, n)`` index array: the row's bytes
+        as :attr:`index_dtype`, ``n * itemsize`` long; equal rows, equal keys.
+
+        Only for validated rows: a narrowing cast would give a row with an
+        index outside its options the key of another row.
+        """
+        G = np.ascontiguousarray(genotypes, dtype=self.index_dtype)
+        return G.view(np.dtype((np.void, G.shape[1] * G.itemsize))).ravel().tolist()
+
+    @cached_property
     def _rule_tables(self) -> tuple[tuple[int, np.ndarray], ...]:
         """Per rule: (controller index, bool table[option, variable] of activity)."""
         tables = []

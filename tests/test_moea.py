@@ -813,6 +813,80 @@ class TestMeasureProtocol:
             assert by_generation.get(generation, []) == ([cut] if cut else [])
 
 
+class TestDedupTable:
+    """``nsga2_core``'s row keys and value table, with and without a store:
+    an accepted row is asked once and its values come back bit for bit, a
+    rejected row is dropped, and a cut batch spends exactly the budget left."""
+
+    SPACE = builtin_space("mobilenetv3")
+    LAND = SyntheticLandscape.from_seed(SPACE, seed=3)
+
+    @staticmethod
+    def rejected(g):
+        return g[1] == 2  # a kernel slot every depth keeps active
+
+    def run(self, monkeypatch, cfg, store):
+        space, land, rejected = self.SPACE, self.LAND, self.rejected
+        asked: list[list[tuple]] = []
+        raw: dict[tuple, np.ndarray] = {}  # row -> the values the evaluator returned
+        children: list[list[tuple]] = []  # per generation, canonical children
+        real_mutate = moea.mutate
+
+        def recording_mutate(*args):
+            out = real_mutate(*args)
+            children.append(list(map(tuple, space.canonicalize_batch(out).tolist())))
+            return out
+
+        class Recording:
+            def evaluate_batch(self, rows):
+                keys = list(map(tuple, rows.tolist()))
+                V = land.evaluate_batch(rows)
+                V[list(map(rejected, keys))] = math.nan
+                asked.append(keys)
+                raw.update(zip(keys, V))
+                return V
+
+        monkeypatch.setattr(moea, "mutate", recording_mutate)
+        G, F, _ = moea.nsga2_core(space, Recording(), ACC_LAT, cfg, store)
+        return asked, raw, children, G, F
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_each_row_asked_once_and_read_back_bit_for_bit(self, monkeypatch, with_store):
+        cfg = EaConfig(population_size=10, max_evaluations=47, seed=4)
+        store = EvaluationStore(self.SPACE, ACC_LAT) if with_store else None
+        asked, raw, children, G, F = self.run(monkeypatch, cfg, store)
+
+        flat = [g for keys in asked for g in keys]
+        accepted = [g for g in flat if not self.rejected(g)]
+        assert len(accepted) == len(set(accepted)) == cfg.max_evaluations
+        assert len(accepted) < len(flat)  # the run saw rejections
+
+        rows = list(map(tuple, G.tolist()))
+        assert not any(map(self.rejected, rows))
+        assert same_bits(F, oriented_values(np.array([raw[g] for g in rows]), ACC_LAT))
+        if with_store:
+            assert store.genotype_matrix().tolist() == list(map(list, accepted))
+            assert same_bits(store.values_matrix(), np.array([raw[g] for g in accepted]))
+
+        # The last batch is cut: it asks exactly the budget left of the
+        # generation's fresh children, which outnumber it.
+        known = set(accepted[: -len(asked[-1])])
+        budget_left = cfg.max_evaluations - len(known)
+        fresh = [g for g in dict.fromkeys(children[-1]) if g not in known]
+        assert len(asked[-1]) == budget_left < len(fresh)
+        assert asked[-1] == fresh[:budget_left]
+
+    def test_population_larger_than_the_initial_table(self):
+        pop = 2 * moea._TABLE_ROWS + 1
+        out = run_nsga2(self.SPACE, self.LAND, ACC_LAT, EaConfig(
+            population_size=pop, max_evaluations=3 * pop, seed=1
+        ))
+        assert len(out.store) == 3 * pop and out.generations >= 2
+        G, V = out.population
+        row = {g: i for i, g in enumerate(map(tuple, out.store.genotype_matrix().tolist()))}
+        assert same_bits(V, out.store.values_matrix()[[row[g] for g in map(tuple, G.tolist())]])
+
+
 class TestRejectedRows:
     """An all-NaN row is a rejection: skipped, never stored, no budget spent."""
 

@@ -127,6 +127,20 @@ class TestGenotypeChecks:
         assert G.dtype == np.int64 and G.tolist() == [[0, 0, 0], [3, 2, 1]]
         assert free_space.validate_batch([]).shape == (0, 3)
 
+    def test_row_keys_are_exact_past_one_byte(self):
+        # 300 options need uint16: 299 and 43 share their low byte.
+        space = SearchSpace(
+            "wide", (DesignVariable("w", tuple(range(300))), DesignVariable("b", (0, 1)))
+        )
+        assert space.index_dtype == np.uint16
+        G = np.array([[299, 1], [43, 1], [299, 1], [256, 0], [0, 0]])
+        keys = space.row_keys(G)
+        assert all(len(k) == space.n_variables * 2 for k in keys)
+        assert keys[0] == keys[2]
+        assert len(set(keys)) == 4
+        assert space.row_keys(G[:0]) == []
+        assert builtin_space("mobilenetv3").index_dtype == np.uint8
+
     def test_format_parse_roundtrip(self):
         assert format_genotype((0, 2, 1)) == "0-2-1"
         assert parse_genotypes(["0-2-1"]).tolist() == [[0, 2, 1]]
