@@ -3,8 +3,10 @@
 Each outer iteration measures a small batch of real configurations, fits one
 predictor per objective on everything measured so far, explores far beyond
 the real-evaluation budget with a predictor-only NSGA-II, and promotes the
-most promising unseen candidates to the next measured batch. Real
-measurements therefore total ``population_size * iterations``.
+most promising unseen candidates to the next measured batch. The last
+iteration only measures: nothing after it would measure its picks, so a run
+fits and searches ``iterations - 1`` times. Real measurements total
+``population_size * iterations``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .moea import (
     EaConfig,
+    SearchOutcome,
     SpaceExhaustedError,
     _measure_batch,
     nsga2_core,
@@ -23,7 +26,7 @@ from .moea import (
     sample_fresh_into_store,
     search_rng,
 )
-from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes, oriented_values
+from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes
 from .predictor import DEFAULT_STACK_FOLDS, PREDICTOR_KINDS, featurize_canonical, make_predictor
 from .space import Genotype, SearchSpace
 
@@ -107,17 +110,6 @@ class LinasConfig:
         return self.predictor_kinds
 
 
-@dataclass(frozen=True, eq=False)
-class LinasOutcome:
-    """What a predictor-guided run produced.
-
-    ``inner_outcome`` is the last inner population: genotypes, predicted raw values.
-    """
-
-    store: EvaluationStore
-    inner_outcome: tuple[np.ndarray, np.ndarray]
-
-
 def select_best_unique(
     genotypes: np.ndarray,
     objectives: np.ndarray,
@@ -165,16 +157,19 @@ def run_linas(
     evaluator,
     objectives: Sequence[ObjectiveSpec],
     config: LinasConfig,
-) -> LinasOutcome:
+) -> SearchOutcome:
     """Iterative predictor-guided search.
 
     Iteration 1 draws the population uniformly at random (the same stream a
     plain random search with this seed would use); every later iteration
-    measures the candidates promoted by the previous inner search, topping
-    up with uniform samples when promotion falls short or a candidate is
-    rejected. Inner searches run :func:`nsga2_core` over a
-    :class:`PredictorEvaluator` with no store, so the real store grows by
-    exactly ``population_size`` per iteration.
+    fits the predictors on the store, runs an inner search and measures the
+    candidates it promotes, topping up with uniform samples when promotion
+    falls short or a candidate is rejected. Inner searches run
+    :func:`nsga2_core` over a :class:`PredictorEvaluator` with no store, so
+    the real store grows by exactly ``population_size`` per iteration. The
+    last iteration only measures what the search before it promoted, so a
+    run fits and searches ``iterations - 1`` times; the outcome's population
+    is that last batch, the store's last ``population_size`` rows.
 
     Raises:
         SpaceExhaustedError: if the space cannot supply the total budget of
@@ -190,26 +185,26 @@ def run_linas(
     store = EvaluationStore(space, objectives)
     rng = search_rng(config.seed)
 
-    promoted: list[Genotype] = []
     for it in range(1, config.iterations + 1):
-        if promoted:
-            G = np.array(promoted, dtype=np.int64)
-            _measure_batch(evaluator, G, len(objectives), store, LINAS_SOURCE, it)
+        if it > 1:
+            surrogate = PredictorEvaluator(space, _fit_models(store, kinds, seed=config.seed))
+            inner_cfg = EaConfig(
+                population_size=config.population_size,
+                max_evaluations=config.inner_evaluations,
+                crossover_prob=config.crossover_prob,
+                mutation_prob=config.mutation_prob,
+                seed=int(rng.integers(0, 2**63)),
+                max_generations=config.inner_evaluations // config.population_size,
+            )
+            inner_G, inner_F, _ = nsga2_core(space, surrogate, objectives, inner_cfg)
+            promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
+            if promoted:
+                G = np.array(promoted, dtype=np.int64)
+                _measure_batch(evaluator, G, len(objectives), store, LINAS_SOURCE, it)
         sample_fresh_into_store(
             space, evaluator, store, rng, config.population_size * it - len(store),
             source=LINAS_SOURCE, iteration=it,
         )
 
-        surrogate = PredictorEvaluator(space, _fit_models(store, kinds, seed=config.seed))
-        inner_cfg = EaConfig(
-            population_size=config.population_size,
-            max_evaluations=config.inner_evaluations,
-            crossover_prob=config.crossover_prob,
-            mutation_prob=config.mutation_prob,
-            seed=int(rng.integers(0, 2**63)),
-            max_generations=config.inner_evaluations // config.population_size,
-        )
-        inner_G, inner_F, _ = nsga2_core(space, surrogate, objectives, inner_cfg)
-        promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
-
-    return LinasOutcome(store, (inner_G, oriented_values(inner_F, objectives)))
+    last = slice(-config.population_size, None)
+    return SearchOutcome(store, (store.genotype_matrix()[last], store.values_matrix()[last]), 0)

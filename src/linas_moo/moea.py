@@ -93,8 +93,9 @@ class EaConfig:
 class SearchOutcome:
     """What a search run produced.
 
-    ``population`` is the final population (NSGA-II) or every measured
-    sample (random search) as two arrays: genotypes and raw values.
+    ``population`` is the final population (NSGA-II), the last measured
+    batch (LINAS) or every measured sample (random search) as two arrays:
+    genotypes and raw values.
     """
 
     store: EvaluationStore

@@ -62,3 +62,13 @@ def test_summary_stats_are_quartiles_per_side():
     assert s["peak_rss_mb"]["change"]["min"] == 59.0
     assert s["peak_rss_mb"]["change"]["max"] == 63.0
     assert s["peak_rss_mb"]["parent"]["q1"] == s["peak_rss_mb"]["parent"]["q3"] == 60.0
+
+
+def test_refuses_a_parent_that_is_not_a_git_work_tree(tmp_path, capsys):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    change = Path(__file__).resolve().parents[1]
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--pr", "0"]) != 0
+    assert str(parent) in capsys.readouterr().err
+    assert not (change / "BENCH_0.json").exists()

@@ -5,16 +5,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from linas_moo import linas
 from linas_moo.linas import (
     LinasConfig,
-    LinasOutcome,
     PredictorEvaluator,
-    _fit_models,
     run_linas,
     select_best_unique,
 )
 from linas_moo.metrics import pareto_front
-from linas_moo.moea import EaConfig, SpaceExhaustedError, nsga2_core, run_nsga2, run_random
+from linas_moo.moea import (
+    EaConfig,
+    SearchOutcome,
+    SpaceExhaustedError,
+    nsga2_core,
+    run_nsga2,
+    run_random,
+)
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -307,7 +313,7 @@ class TestEvaluatorInput:
         run_nsga2(space, Recording(), ACC_LAT, EaConfig(population_size=10, max_evaluations=40))
         run_linas(space, Recording(), ACC_LAT, quick_config())
         assert len(batches) > 3
-        assert len(surrogate_batches) > 3  # three inner searches, many batches each
+        assert len(surrogate_batches) > 3  # two inner searches, many batches each
         for G in batches + surrogate_batches:
             assert isinstance(G, np.ndarray) and G.dtype == np.int64
             assert G.ndim == 2 and G.shape[1] == space.n_variables and len(G)
@@ -407,22 +413,60 @@ class TestRunLinas:
         space, land = small_problem()
         cfg = quick_config(predictor_kinds=("ridge", "ridge"))
         out = run_linas(space, land, ACC_LAT, cfg)
-        assert len(fitted) == 3 * 2
+        assert len(fitted) == (cfg.iterations - 1) * 2
         probe = featurize_batch(space, [m.genotype for m in out.store][:5])
         for model in fitted:
             assert model.predict(probe).shape == (5,)
 
-    def test_inner_search_runs_without_a_store(self):
+    def test_inner_search_runs_without_a_store(self, monkeypatch):
+        calls = []
+
+        def recording_core(space, evaluator, objectives, config, store=None):
+            G, F, generations = nsga2_core(space, evaluator, objectives, config, store=store)
+            calls.append((store, G))
+            return G, F, generations
+
+        monkeypatch.setattr(linas, "nsga2_core", recording_core)
         space, land = small_problem()
-        out = run_linas(space, land, ACC_LAT, quick_config())
-        G, V = out.inner_outcome
+        cfg = quick_config()
+        out = run_linas(space, land, ACC_LAT, cfg)
         assert len(out.store) == 30
         assert all(m.source == "linas" for m in out.store)
-        assert G.shape == (10, space.n_variables)
-        assert np.array_equal(space.canonicalize_batch(G), G)
-        # The last models were fitted on the final store; refitting reproduces them.
-        surrogate = PredictorEvaluator(space, _fit_models(out.store, ("ridge", "ridge"), seed=0))
-        assert np.allclose(V, surrogate.evaluate_batch(G), rtol=1e-9)
+        assert len(calls) == cfg.iterations - 1
+        for store, G in calls:
+            assert store is None
+            assert G.shape == (10, space.n_variables)
+            assert np.array_equal(space.canonicalize_batch(G), G)
+
+    def test_every_pick_is_measured_in_the_next_iteration(self, monkeypatch):
+        picks = []
+
+        def recording_select(genotypes, objectives, count, seen):
+            chosen = select_best_unique(genotypes, objectives, count, seen)
+            picks.append((len(seen) // count, chosen))
+            return chosen
+
+        monkeypatch.setattr(linas, "select_best_unique", recording_select)
+        space, land = small_problem()
+        cfg = quick_config()
+        out = run_linas(space, land, ACC_LAT, cfg)
+        assert [i for i, _ in picks] == list(range(1, cfg.iterations))
+        tags = {m.genotype: (m.source, m.iteration) for m in out.store}
+        for i, chosen in picks:
+            assert chosen
+            for g in chosen:
+                assert tags[g] == ("linas", i + 1)
+
+    def test_single_iteration_fits_and_searches_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-iteration run has nothing to promote")
+
+        monkeypatch.setattr(linas, "make_predictor", forbidden)
+        monkeypatch.setattr(linas, "nsga2_core", forbidden)
+        space, land = small_problem()
+        out = run_linas(space, land, ACC_LAT, quick_config(iterations=1))
+        assert len(out.store) == 10
+        assert np.array_equal(out.population[0], out.store.genotype_matrix())
 
     def test_front_is_nondominated_subset_of_store(self):
         space, land = small_problem()
@@ -464,8 +508,14 @@ class TestRunLinas:
 
     def test_outcome_type(self):
         space, land = small_problem()
-        out = run_linas(space, land, ACC_LAT, quick_config(iterations=1))
-        assert isinstance(out, LinasOutcome)
+        out = run_linas(space, land, ACC_LAT, quick_config())
+        assert isinstance(out, SearchOutcome)
+        assert out.generations == 0
+        G, V = out.population
+        assert np.array_equal(G, out.store.genotype_matrix()[-10:])
+        assert np.array_equal(V, out.store.values_matrix()[-10:])
+        assert G.dtype == np.int64 and G.shape == (10, space.n_variables)
+        assert [m.iteration for m in list(out.store)[-10:]] == [3] * 10
 
     def test_stacked_predictor_end_to_end(self):
         space, land = small_problem()

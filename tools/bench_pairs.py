@@ -3,7 +3,10 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --pr N [--pairs 10] [--resume]
 
 ``DIR`` is the root of a source checkout (it holds ``src/``, ``perfbench/``
-and ``BENCHMARK.json``). The workloads and the run length come from the
+and ``BENCHMARK.json``). The parent must be a git work tree, so that the file
+can name the commit it measured: make it with ``git worktree add DIR HEAD~1``
+(or ``git clone``), not by unpacking ``git archive``; the runner refuses a
+parent that is not one. The workloads and the run length come from the
 change checkout's ``BENCHMARK.json`` (``workloads``, ``run_seconds``). Pair
 ``i`` of each workload runs
 
@@ -101,15 +104,21 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
-def git_rev(checkout: Path) -> str:
+def git_rev(checkout: Path) -> str | None:
+    """The checkout's short commit hash, or ``None`` if it is not a git work tree."""
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else checkout.name
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent = git_rev(roots["parent"])
+    if parent is None:
+        print(f"bench_pairs: parent checkout {roots['parent']} is not a git work tree, so "
+              "its commit cannot be named; make it with `git worktree add`", file=sys.stderr)
+        return 2
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -119,7 +128,7 @@ def main(argv=None) -> int:
                 "run one after the other on the same host",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0, each side in its own checkout (tools/bench_pairs.py)",
-        "parent": git_rev(roots["parent"]),
+        "parent": parent,
         "order": "pairs alternate which side runs first (even pair index: parent first)",
         "host": f"{os.cpu_count()} vCPU {platform.machine()}, Python {platform.python_version()}, "
                 f"numpy {metadata.version('numpy')}; times are host-normalized by "
