@@ -48,7 +48,11 @@ class PredictorEvaluator:
 
     def evaluate_batch(self, genotypes) -> np.ndarray:
         X = featurize_canonical(self.space, _check_genotypes(self.space, genotypes))
-        return np.column_stack([m.predict(X) for m in self.models])
+        preds = [m.predict(X) for m in self.models]
+        out = np.empty((len(preds[0]), len(preds)))  # a short prediction stays visible as a shape
+        for k, p in enumerate(preds):
+            out[:, k] = p
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
-"""Pareto-front analytics: front extraction, exact 2-D hypervolume, traces.
+"""Pareto-front analytics: front ranks, front extraction, exact 2-D hypervolume, traces.
 
-Hypervolume is computed in minimization convention; use
-:func:`store_objective_matrix` to orient a store's raw values first.
+:func:`_ranks` ranks only the fronts its caller needs: front extraction
+needs front 0, which with two objectives is one sweep over sorted rows, and
+NSGA-II selection needs the fronts that fill its population. Hypervolume is
+computed in minimization convention; use :func:`store_objective_matrix` to
+orient a store's raw values first.
 """
 
 from __future__ import annotations
@@ -20,18 +23,35 @@ def store_objective_matrix(store: EvaluationStore) -> np.ndarray:
     return oriented_values(store.values_matrix(), store.objectives)
 
 
-def _ranks_2d(F: np.ndarray) -> np.ndarray:
+def _ranks_2d(F: np.ndarray, stop: int) -> np.ndarray:
     """Front rank of every row of an (N, 2) minimization matrix, O(N log N).
 
-    In (f1, f2) order, front r's latest member dominates a row iff its
-    (f2, f1) key is smaller; the keys ascend with r, so bisection finds the
-    row's front (Jensen, TEC 2003). A NaN row is rank 0 and dominates nothing.
+    A NaN row is rank 0 and dominates nothing; the other rows are sorted once
+    on (f1, f2). When ``stop < N``, one sweep finds front 0: a row is in it
+    iff its f2 lies below the f2 of every row before it, copies sharing their
+    first copy's rank. If front 0 and the NaN rows hold ``stop`` rows, every
+    other row is rank 1. Otherwise, front r's latest member dominates a row
+    iff its (f2, f1) key is smaller; the keys ascend with r, so bisection
+    finds the row's front (Jensen, TEC 2003).
     """
     ranks = np.zeros(len(F), dtype=np.int64)
-    rows = np.nonzero(~np.isnan(F).any(axis=1))[0]
-    rows = rows[np.lexsort((F[rows, 1], F[rows, 0]))]
+    rows = np.lexsort((F[:, 1], F[:, 0]))
+    rows = rows[~(np.isnan(F[:, 0]) | np.isnan(F[:, 1]))[rows]]
+    x, y = F.take(rows, axis=0).T
+    if len(rows) and stop < len(F):
+        best = np.empty(len(rows), dtype=bool)
+        best[0] = True
+        np.less(y[1:], np.minimum.accumulate(y[:-1]), out=best[1:])
+        lead = np.empty_like(best)  # rows that are not a copy of the row before
+        lead[0] = True
+        np.not_equal(x[1:], x[:-1], out=lead[1:])
+        lead[1:] |= y[1:] != y[:-1]
+        best = best[np.maximum.accumulate(np.arange(len(rows)) * lead)]  # copies share it
+        if len(F) - len(rows) + np.count_nonzero(best) >= stop:
+            ranks[rows[~best]] = 1
+            return ranks
     lasts, found = [], []  # each front's latest (f2, f1) key; each row's front
-    for key in zip(F[rows, 1].tolist(), F[rows, 0].tolist()):
+    for key in zip(y.tolist(), x.tolist()):
         r = bisect.bisect_left(lasts, key)
         lasts[r : r + 1] = [key]
         found.append(r)
@@ -39,21 +59,26 @@ def _ranks_2d(F: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _ranks(F: np.ndarray) -> np.ndarray:
-    """Front rank of every row (0 is non-dominated); with m != 2, fronts are
-    peeled off ``dom[i, j]``, row i strictly dominates row j (O(N^2) memory)."""
+def _ranks(F: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """Front rank (0 is non-dominated) of every row in the first fronts that
+    together hold at least ``stop`` rows (default all); every later row gets
+    a larger rank, not necessarily its own. With m != 2, fronts are peeled
+    off ``dom[i, j]``, row i strictly dominates row j (O(N^2) memory)."""
+    stop = len(F) if stop is None else min(stop, len(F))
     if F.shape[1] == 2:
-        return _ranks_2d(F)
+        return _ranks_2d(F, stop)
     le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
     dom = le & np.any(F[:, None, :] < F[None, :, :], axis=2)
     counts = dom.sum(axis=0).astype(np.int64)
     ranks = np.full(len(F), -1, dtype=np.int64)
-    r = 0
-    while (ranks < 0).any():
+    r = done = 0
+    while done < stop:
         members = np.flatnonzero((ranks < 0) & (counts == 0))
         ranks[members] = r
         counts -= dom[members].sum(axis=0)
+        done += len(members)
         r += 1
+    ranks[ranks < 0] = r
     return ranks
 
 
@@ -67,7 +92,7 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         raise ValueError("need an (N, m) matrix")
     if F.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    return _ranks(F) == 0
+    return _ranks(F, 1) == 0
 
 
 def pareto_front(values: np.ndarray, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:

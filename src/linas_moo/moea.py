@@ -32,7 +32,7 @@ from .objective import (
     _check_values,
     oriented_values,
 )
-from .space import Genotype, SearchSpace
+from .space import Genotype, SearchSpace, uniform_bound
 
 _SEARCH_SEED_TAG = 0x5EED
 _ATTEMPT_CAP = 100_000
@@ -110,22 +110,25 @@ def _crowding(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     neighbour gaps scaled by the objective's range. A zero-range objective
     (``hi == lo``, also a constant inf column) contributes nothing. Each
     sort puts the ranks in order, so the front bounds are found once.
+    ``ranks`` take every value from 0 to their maximum, as :func:`_ranks` gives them.
     """
     crowd = np.zeros(len(F))
-    first = np.concatenate([[True], np.diff(np.sort(ranks)) != 0])
+    front = np.sort(ranks)  # the front of each sorted position
+    first = np.concatenate([[True], front[1:] != front[:-1]])
     last = np.concatenate([first[1:], [True]])
-    front = np.cumsum(first) - 1
-    interior = np.flatnonzero(~(first | last))
-    for col in F.T:
-        order = np.lexsort((col, ranks))
-        c = col[order]
-        lo, hi = c[first], c[last]
-        live = (hi != lo)[front]
-        crowd[order[live & (first | last)]] = math.inf
-        inner = interior[live[interior]]
-        # A gap of inf - inf, or inf over an infinite range, is nan: kept, unwarned.
-        with np.errstate(invalid="ignore"):
-            crowd[order[inner]] += (c[inner + 1] - c[inner - 1]) / (hi - lo)[front[inner]]
+    edge = first | last
+    # Gaps are taken at every sorted position and kept where interior and live;
+    # the discarded ones may be 0 / 0 or inf - inf, and a kept nan stays unwarned.
+    with np.errstate(all="ignore"):
+        for col in F.T:
+            order = np.lexsort((col, ranks))
+            c = col[order]
+            lo, hi = c[first], c[last]
+            live = (hi != lo)[front]
+            crowd[order[live & edge]] = math.inf
+            inner = (live & ~edge)[1:-1]
+            gaps = (c[2:] - c[:-2]) / (hi - lo)[front[1:-1]]
+            crowd[order[1:-1][inner]] += gaps[inner]
     return crowd
 
 
@@ -194,11 +197,14 @@ def mutate(
     """Per-position mutation of ``(B, n)`` genotypes.
 
     Each hit position moves to a uniformly chosen different option index.
+    Every position draws a replacement, hit or not; when every variable has
+    the same option count, the draw takes a scalar bound, which yields the
+    same values and generator state as the per-variable bounds.
     """
     G = np.asarray(G, dtype=np.int64)
     option_counts = np.asarray(option_counts, dtype=np.int64)
     hits = (rng.random(G.shape) < prob) & (option_counts > 1)
-    draw = rng.integers(0, np.maximum(option_counts - 1, 1), size=G.shape)
+    draw = rng.integers(0, uniform_bound(np.maximum(option_counts - 1, 1)), size=G.shape)
     replacement = draw + (draw >= G)
     return np.where(hits, replacement, G)
 
@@ -309,10 +315,14 @@ def environmental_selection(
 
     Fills by front, members in index order; the boundary front is cut by
     descending crowding, ties in index order. A front that exactly fills
-    the population is kept whole in index order.
+    the population is kept whole in index order. Only the fronts that fill
+    the population need their ranks (:func:`_ranks` with ``stop=pop_size``):
+    later rows may share one larger rank, and none of them survives. ``F``
+    is a float (N, m) minimization matrix.
     Returns (genotypes, objectives, ranks, crowding) for the survivors.
     """
-    ranks, crowd = rank_and_crowd(F)
+    ranks = _ranks(F, pop_size)
+    crowd = _crowding(F, ranks)
     idx = np.argsort(ranks, kind="stable")
     if pop_size < len(idx) and ranks[idx[pop_size]] == ranks[idx[pop_size - 1]]:
         cut = ranks[idx[pop_size - 1]]

@@ -77,9 +77,13 @@ def oriented_values(values, objectives: Sequence[ObjectiveSpec]) -> np.ndarray:
 
 
 def _check_genotypes(space: SearchSpace, genotypes) -> np.ndarray:
-    """Check genotypes as :meth:`EvaluationStore.insert_batch` does; return them as int64."""
+    """Check genotypes as :meth:`EvaluationStore.insert_batch` does; return them as int64.
+
+    A row is canonical when it holds no nonzero index at an inactive position
+    (:meth:`SearchSpace.noncanonical_rows`); the first row that does is named.
+    """
     G = space.validate_batch(genotypes)
-    off = np.flatnonzero((space.canonicalize_batch(G) != G).any(axis=1))
+    off = np.flatnonzero(space.noncanonical_rows(G))
     if off.size:
         raise StoreContractError(f"genotype {format_genotype(G[off[0]])} is not canonical")
     return G

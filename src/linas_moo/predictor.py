@@ -36,6 +36,7 @@ DEFAULT_ANALYSIS_SEED = 0
 _TAU = 1e-12
 _FOLD_TAG = 0xF01D
 _TRIAL_TAG = 0x7B1A1
+_TAU_BLOCK_PAIRS = 2**20  # pairs kendall_tau compares at once, which bounds its temporaries
 
 
 class RankDeficientError(ValueError):
@@ -181,6 +182,7 @@ class SvrRbfModel:
         # (the RBF diagonal is 1), floored like LIBSVM's tau.
         H = np.subtract(1.0, K)
         np.maximum(H, _TAU / 2.0, out=H)
+        K_rows, H_rows = list(K), list(H)  # row views, built once
         C, eps = self.C, self.epsilon
 
         # Doubled formulation: lam = (alpha, alpha*), sign = (+1, -1),
@@ -216,7 +218,7 @@ class SvrRbfModel:
                 break
 
             # WSS2: among violating t, maximise score^2 / quad_t.
-            half_quad = H[i]
+            half_quad = H_rows[i]
             np.maximum(score, 0.0, out=score)
             score *= score
             score /= half_quad
@@ -266,9 +268,9 @@ class SvrRbfModel:
                 alpha[j] = nj
             else:
                 alpha_s[j] = nj
-            np.multiply(K[i], si * (ni - old_i), out=step)
+            np.multiply(K_rows[i], si * (ni - old_i), out=step)
             f -= step
-            np.multiply(K[j], sj * (nj - old_j), out=step)
+            np.multiply(K_rows[j], sj * (nj - old_j), out=step)
             f -= step
             a_t, s_t = alpha[i], alpha_s[i]
             up[i] = eps if s_t > 0 else (-eps if a_t < C else -math.inf)
@@ -291,7 +293,7 @@ class SvrRbfModel:
         else:
             b = float((np.max(f + up) + np.min(f + low)) / 2.0)
         self.dual_coef_, self.intercept_ = alpha_v - alpha_s_v, b
-        del K, H  # free the 2 n^2 kernel floats before the support rows are copied
+        del K, H, K_rows, H_rows  # free the 2 n^2 kernel floats before the support rows are copied
         support = np.nonzero(self.dual_coef_)[0]
         S = X[support]
         self._support = (S, np.sum(S * S, axis=1), self.dual_coef_[support])
@@ -354,9 +356,9 @@ class StackedModel:
         if self.meta_ is None:
             raise RuntimeError("predict before fit")
         X = np.asarray(X, dtype=np.float64)
-        stacked = np.column_stack(
-            [self.base_ridge_.predict(X), self.base_svr_.predict(X)]
-        )
+        stacked = np.empty((len(X), 2))
+        stacked[:, 0] = self.base_ridge_.predict(X)
+        stacked[:, 1] = self.base_svr_.predict(X)
         return self.meta_.predict(stacked)
 
 
@@ -389,12 +391,29 @@ def mape(predicted, actual) -> float:
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
+def _pair_counts(x: np.ndarray, y: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Concordant, discordant, x-only-tied and y-only-tied counts over the
+    pairs (i, j), i in ``rows`` and j in ``cols``."""
+    gx, lx = x[rows, None] > x[cols], x[rows, None] < x[cols]
+    gy, ly = y[rows, None] > y[cols], y[rows, None] < y[cols]
+    ux, uy = gx | lx, gy | ly  # untied in x, in y
+    return np.array([
+        np.count_nonzero(gx & gy) + np.count_nonzero(lx & ly),
+        np.count_nonzero(gx & ly) + np.count_nonzero(lx & gy),
+        np.count_nonzero(uy & ~ux),
+        np.count_nonzero(ux & ~uy),
+    ])
+
+
 def kendall_tau(x, y) -> float:
     """Kendall rank correlation, tie-adjusted (the tau-b variant).
 
     Counts concordant, discordant, and tied pairs over all n(n-1)/2 pairs:
     ``(C - D) / sqrt((C + D + Tx) (C + D + Ty))`` with Tx the pairs tied in
-    x only and Ty the pairs tied in y only.
+    x only and Ty the pairs tied in y only. Rows are compared in blocks of
+    about ``_TAU_BLOCK_PAIRS`` pairs, so memory stays bounded whatever n: a
+    block of rows a..b meets every later row once and itself as a square,
+    whose symmetric counts are halved.
 
     Raises:
         UndefinedMetricError: if either vector is fully tied.
@@ -403,14 +422,14 @@ def kendall_tau(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length vectors with at least 2 entries")
-    iu, ju = np.triu_indices(x.size, k=1)
-    sx = np.sign(x[iu] - x[ju]).astype(np.int8)
-    sy = np.sign(y[iu] - y[ju]).astype(np.int8)
-    prod = sx * sy
-    conc = int(np.count_nonzero(prod > 0))
-    disc = int(np.count_nonzero(prod < 0))
-    tx = int(np.count_nonzero((sx == 0) & (sy != 0)))
-    ty = int(np.count_nonzero((sy == 0) & (sx != 0)))
+    n = x.size
+    step = max(1, _TAU_BLOCK_PAIRS // n)
+    counts = np.zeros(4, dtype=np.int64)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        counts += _pair_counts(x, y, slice(a, b), slice(b, n))
+        counts += _pair_counts(x, y, slice(a, b), slice(a, b)) // 2
+    conc, disc, tx, ty = counts.tolist()
     denom = math.sqrt((conc + disc + tx) * (conc + disc + ty))
     if denom == 0:
         raise UndefinedMetricError("Kendall tau undefined: a vector is fully tied")

@@ -131,6 +131,16 @@ def _first_bad_row(texts: list[str]) -> MalformedGenotypeError:
     raise AssertionError("unreachable: every text parses alone at one length")
 
 
+def uniform_bound(bounds: np.ndarray):
+    """``bounds[0]`` when every entry of a non-empty int array is equal, else ``bounds``.
+
+    ``Generator.integers`` draws the same values, and leaves the generator in
+    the same state, for a uniform array bound and for its scalar; the scalar
+    form is several times faster.
+    """
+    return bounds[0] if (bounds == bounds[0]).all() else bounds
+
+
 def format_genotype(genotype: Genotype) -> str:
     """One-row view of :func:`format_genotypes`."""
     return format_genotypes([genotype])[0]
@@ -332,8 +342,7 @@ class SearchSpace:
         Raises:
             MalformedGenotypeError: on a malformed row, as :meth:`validate_batch`.
         """
-        G = self.validate_batch([genotype])
-        return bool((self.canonicalize_batch(G) == G).all())
+        return not self.noncanonical_rows(self.validate_batch([genotype])).any()
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``(count, n)`` canonical genotypes, each variable index drawn uniformly.
@@ -341,9 +350,10 @@ class SearchSpace:
         The distribution is uniform over the raw index grid; each row is the
         canonical representative of its draw. One array-bounded ``integers``
         call yields the same values, and leaves ``rng`` in the same state, as
-        one scalar call per variable, row by row.
+        one scalar call per variable, row by row; with equal option counts it
+        takes the scalar bound (:func:`uniform_bound`), which draws the same.
         """
-        raw = rng.integers(0, self.option_counts, size=(count, self.n_variables))
+        raw = rng.integers(0, uniform_bound(self.option_counts), size=(count, self.n_variables))
         return self.canonicalize_batch(raw)
 
     def active_mask_batch(self, genotypes: np.ndarray) -> np.ndarray:
@@ -356,6 +366,12 @@ class SearchSpace:
         for controller, tab in self._rule_tables:
             mask &= tab[G[:, controller]]
         return mask
+
+    def noncanonical_rows(self, genotypes: np.ndarray) -> np.ndarray:
+        """Which rows of a ``(B, n)`` int array hold a nonzero index at an inactive
+        position, so differ from their canonical form; no canonical copy is made."""
+        G = np.asarray(genotypes, dtype=np.int64)
+        return ((G != 0) & ~self.active_mask_batch(G)).any(axis=1)
 
     def canonicalize_batch(self, genotypes: np.ndarray) -> np.ndarray:
         """Canonical representatives of a ``(B, n)`` int array: inactive entries set to 0.

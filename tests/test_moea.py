@@ -24,7 +24,7 @@ from linas_moo.moea import (
     search_rng,
     tournament_winners,
 )
-from linas_moo.metrics import pareto_front
+from linas_moo.metrics import _ranks, pareto_front
 from linas_moo.objective import (
     MAXIMIZE,
     MINIMIZE,
@@ -35,7 +35,7 @@ from linas_moo.objective import (
     TabularEvaluator,
     oriented_values,
 )
-from linas_moo.space import SearchSpace, builtin_space
+from linas_moo.space import SearchSpace, builtin_space, uniform_bound
 
 
 def dominates_oracle(a, b):
@@ -299,6 +299,30 @@ class TestMutate:
         assert scipy_stats.chisquare(counts[[0, 1, 3, 4]]).pvalue > 1e-3
 
 
+class TestUniformBoundDraws:
+    """``mutate`` and ``sample_batch`` pass a uniform array bound as its scalar.
+    That keeps every search's RNG stream only while numpy draws the same values,
+    and leaves the generator in the same state, for both forms."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 256, 2**33])
+    @pytest.mark.parametrize("shape", [(1, 1), (50, 45), (1000, 45)])
+    def test_array_and_scalar_bounds_draw_alike(self, bound, shape):
+        for seed in range(3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            bounds = np.full(shape[1], bound, dtype=np.int64)
+            by_array = a.integers(0, bounds, size=shape)
+            by_scalar = b.integers(0, uniform_bound(bounds), size=shape)
+            assert by_array.dtype == by_scalar.dtype and np.array_equal(by_array, by_scalar)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.integers(0, 2**40, size=7), b.integers(0, 2**40, size=7))
+            assert a.random() == b.random()
+
+    def test_uniform_bound_keeps_a_mixed_array(self):
+        assert uniform_bound(np.array([3, 3, 3])) == 3
+        mixed = np.array([3, 2, 3])
+        assert uniform_bound(mixed) is mixed
+
+
 class TestEnvironmentalSelection:
     def test_identity_when_pool_fits(self):
         G = np.arange(8).reshape(4, 2)
@@ -444,6 +468,36 @@ class TestWholePoolRankAndCrowd:
         assert crowd.tolist() == [math.inf, 2.0, math.inf]
         sel_G, _, _, crowd = environmental_selection(G, F, 2)
         assert sel_G[:, 0].tolist() == [0, 6]
+
+
+class TestRanksUpToStop:
+    """``_ranks(F, stop)`` gives the full rank to every row of the fronts that
+    together hold ``stop`` rows, and a larger rank to every later row."""
+
+    def test_needed_fronts_have_their_full_ranks(self):
+        rng = np.random.default_rng(43)
+        cases = list(hard_objective_matrices(seed=43, count=40, ms=(1, 2, 2, 3), max_n=150))
+        for F in cases[::3]:  # NaN rows are rank 0 and dominate nothing
+            F[rng.random(len(F)) < 0.1, int(rng.integers(0, F.shape[1]))] = np.nan
+        cases.append(TestWholePoolRankAndCrowd.CONSTANT_INF)
+        for F in cases:
+            full = rank_and_crowd(F)[0]
+            covered = np.cumsum(np.bincount(full))
+            for stop in range(1, len(F) + 1):
+                last = int(np.searchsorted(covered, stop))  # the last front needed
+                needed = full <= last
+                got = _ranks(F, stop)
+                assert np.array_equal(got[needed], full[needed])
+                assert (got[~needed] > last).all()
+
+    def test_chain_of_single_row_fronts(self):
+        # Each row dominates every later one: 2,000 fronts of one row each.
+        F = np.repeat(np.arange(2000.0)[:, None], 2, axis=1)
+        assert np.array_equal(rank_and_crowd(F)[0], np.arange(2000))
+        G = np.arange(2000)[:, None]
+        sel_G, _, ranks, _ = environmental_selection(G, F, 700)
+        assert np.array_equal(sel_G[:, 0], np.arange(700))
+        assert np.array_equal(ranks, np.arange(700))
 
 
 class TestInfiniteColumns:

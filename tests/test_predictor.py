@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from conftest import make_masked_space
+from linas_moo import predictor
 from linas_moo.moea import draw_unseen, search_rng
 from linas_moo.objective import SyntheticLandscape
 from linas_moo.predictor import (
@@ -510,6 +511,31 @@ class TestKendallTau:
     def test_fully_tied_raises(self):
         with pytest.raises(UndefinedMetricError):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64, 2500])
+    def test_row_blocks_match_loop_oracle_exactly(self, monkeypatch, block_pairs):
+        # Blocks of one row up to one block for all 50 rows.
+        monkeypatch.setattr(predictor, "_TAU_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(124)
+        for n in (2, 3, 17, 50):
+            for _ in range(10):
+                x = rng.integers(0, 4, size=n).astype(float)
+                y = rng.integers(0, 4, size=n).astype(float)
+                if np.all(x == x[0]) or np.all(y == y[0]):
+                    continue
+                assert kendall_tau(x, y) == kendall_oracle(x, y)
+
+    def test_memory_is_bounded_in_n(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 50, size=4000).astype(float)
+        y = x + rng.integers(0, 50, size=4000)
+        tracemalloc.start()
+        try:
+            kendall_tau(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAnalyzeProtocol:

@@ -224,6 +224,14 @@ class TestCanonicalization:
         raws = list(itertools.product(range(4), range(3), range(2)))
         assert free_space.canonicalize_batch(raws).tolist() == [list(raw) for raw in raws]
 
+    def test_noncanonical_rows_match_the_oracle(self):
+        rng = np.random.default_rng(19)
+        for space in [make_masked_space(), *map(builtin_space, BUILTIN_SPACES)]:
+            raws = rng.integers(0, space.option_counts, size=(200, space.n_variables))
+            want = [canonical_oracle(space, raw) != tuple(raw) for raw in raws.tolist()]
+            assert space.noncanonical_rows(raws).tolist() == want
+            assert not space.noncanonical_rows(space.canonicalize_batch(raws)).any()
+
     def test_is_canonical_checks_one_row(self, masked_space):
         assert not masked_space.is_canonical((0, 2, 1, 1))
         assert all(masked_space.is_canonical(g) for g in enumerate_canonicals(masked_space))
