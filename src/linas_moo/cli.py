@@ -484,7 +484,7 @@ def _cmd_predictor_analysis(args) -> int:
             f"space {space.name!r} holds {space.cardinality()} distinct configs; "
             f"the protocol needs {needed}"
         )
-    G = np.array(draw_unseen(space, search_rng(seed), needed, ())[0], dtype=np.int64)
+    G, _ = draw_unseen(space, search_rng(seed), needed, ())
     X = featurize_batch(space, G)
     Y = np.asarray(evaluator.evaluate_batch(G), dtype=np.float64)
     rejected = int(np.isnan(Y).all(axis=1).sum())

@@ -28,7 +28,7 @@ from .moea import (
 )
 from .objective import EvaluationStore, ObjectiveSpec, _check_genotypes
 from .predictor import DEFAULT_STACK_FOLDS, PREDICTOR_KINDS, featurize_canonical, make_predictor
-from .space import Genotype, SearchSpace
+from .space import SearchSpace
 
 LINAS_SOURCE = "linas"
 
@@ -114,35 +114,31 @@ class LinasConfig:
         return self.predictor_kinds
 
 
-def select_best_unique(
-    genotypes: np.ndarray,
-    objectives: np.ndarray,
-    count: int,
-    seen,
-) -> list[Genotype]:
-    """The best ``count`` distinct genotypes not already in ``seen``.
+def select_best_unique(space: SearchSpace, genotypes, objectives, count: int, seen) -> np.ndarray:
+    """The best ``count`` distinct rows of ``genotypes`` whose row keys
+    (:meth:`SearchSpace.row_keys`) are not in ``seen``, as an int64 array.
 
     ``genotypes`` and ``objectives`` (minimized) are a population's rows.
     Candidates are ordered by front rank, then descending crowding distance,
-    then position. Returns fewer than ``count`` when the population cannot
-    supply enough unseen genotypes.
+    then position. Returns fewer than ``count`` rows when the population
+    cannot supply enough unseen genotypes.
+
+    Raises:
+        MalformedGenotypeError: a row of the wrong length or an index outside
+            its variable's options, which would key as another row.
     """
-    if len(genotypes) == 0:
-        return []
+    G = space.validate_batch(genotypes)
+    if len(G) == 0:
+        return G
     ranks, crowd = rank_and_crowd(objectives)
-    order = np.lexsort((np.arange(len(ranks)), -crowd, ranks))
-    rows = list(map(tuple, np.asarray(genotypes).tolist()))
-    chosen: list[Genotype] = []
-    picked: set[Genotype] = set()
-    for i in order:
-        g = rows[i]
-        if g in seen or g in picked:
-            continue
-        picked.add(g)
-        chosen.append(g)
-        if len(chosen) == count:
-            break
-    return chosen
+    keys = space.row_keys(G)
+    picked: dict[bytes, int] = {}  # key -> its first row, in pick order
+    for i in np.lexsort((np.arange(len(ranks)), -crowd, ranks)).tolist():
+        if keys[i] not in seen:
+            picked.setdefault(keys[i], i)
+            if len(picked) == count:
+                break
+    return G[list(picked.values())]
 
 
 def _fit_models(store: EvaluationStore, kinds: Sequence[str], seed: int) -> tuple:
@@ -201,10 +197,9 @@ def run_linas(
                 max_generations=config.inner_evaluations // config.population_size,
             )
             inner_G, inner_F, _ = nsga2_core(space, surrogate, objectives, inner_cfg)
-            promoted = select_best_unique(inner_G, inner_F, config.population_size, store)
-            if promoted:
-                G = np.array(promoted, dtype=np.int64)
-                _measure_batch(evaluator, G, len(objectives), store, LINAS_SOURCE, it)
+            promoted = select_best_unique(space, inner_G, inner_F, config.population_size, store)
+            if len(promoted):
+                _measure_batch(evaluator, promoted, len(objectives), store, LINAS_SOURCE, it)
         sample_fresh_into_store(
             space, evaluator, store, rng, config.population_size * it - len(store),
             source=LINAS_SOURCE, iteration=it,

@@ -3,12 +3,12 @@
 Every search measures through its evaluator's ``evaluate_batch``. The real
 searches keep an :class:`EvaluationStore`, so a duplicate offspring reuses
 the stored measurement without consuming budget and the budget counts
-distinct configurations. :func:`nsga2_core` is the NSGA-II loop itself, on
-arrays: it dedups on byte row keys (:meth:`SearchSpace.row_keys`) that index
-one table of minimized values. :func:`run_nsga2` hands it a store to fill,
-and the predictor-only inner search of LINAS runs it with none. Objectives
-are handled internally in minimization convention; evaluators stay in
-natural directions.
+distinct configurations. Every search dedups on the byte row keys of
+:meth:`SearchSpace.row_keys`. :func:`nsga2_core` is the NSGA-II loop itself,
+on arrays; its keys index one table of minimized values. :func:`run_nsga2`
+hands it a store to fill, and the predictor-only inner search of LINAS runs
+it with none. Objectives are handled internally in minimization convention;
+evaluators stay in natural directions.
 
 An evaluator has one method, ``evaluate_batch(G)``: given a ``(B, n)`` int64
 array of genotypes, it returns a ``(B, m)`` float array of raw values. An all-NaN
@@ -27,12 +27,11 @@ import numpy as np
 from .metrics import _ranks
 from .objective import (
     EvaluationStore,
-    Measurement,
     ObjectiveSpec,
     _check_values,
     oriented_values,
 )
-from .space import Genotype, SearchSpace, uniform_bound
+from .space import SearchSpace, uniform_bound
 
 _SEARCH_SEED_TAG = 0x5EED
 _ATTEMPT_CAP = 100_000
@@ -226,8 +225,9 @@ def _measure_batch(
 
 def draw_unseen(
     space: SearchSpace, rng: np.random.Generator, count: int, seen, misses: int = 0
-) -> tuple[list[Genotype], int]:
-    """``count`` distinct uniform draws that are not in ``seen``, in draw order.
+) -> tuple[np.ndarray, int]:
+    """``count`` distinct uniform draws whose row keys (:meth:`SearchSpace.row_keys`)
+    are not in ``seen``, as a ``(count, n)`` int64 array in draw order.
 
     Each round draws as many rows as are still missing and takes them in
     order, so ``rng`` advances exactly as far as drawing one row at a time.
@@ -236,16 +236,20 @@ def draw_unseen(
     Raises:
         SpaceExhaustedError: once the miss count reaches ``_ATTEMPT_CAP``.
     """
-    batch: dict[Genotype, None] = {}
+    parts, batch = [np.empty((0, space.n_variables), np.int64)], set()
     while len(batch) < count:
-        for g in map(tuple, space.sample_batch(rng, count - len(batch)).tolist()):
-            if g in seen or g in batch:
+        draws = space.sample_batch(rng, count - len(batch))
+        keep = []
+        for i, key in enumerate(space.row_keys(draws)):
+            if key in seen or key in batch:
                 misses += 1
                 if misses >= _ATTEMPT_CAP:
                     raise SpaceExhaustedError(f"no unseen config found after {misses} samples")
             else:
-                batch[g] = None
-    return list(batch), misses
+                batch.add(key)
+                keep.append(i)
+        parts.append(draws[keep])
+    return np.concatenate(parts), misses
 
 
 def sample_fresh_into_store(
@@ -256,14 +260,14 @@ def sample_fresh_into_store(
     count: int,
     source: str,
     iteration: int = 0,
-) -> list[Measurement]:
+) -> np.ndarray:
     """Uniformly sample until ``count`` new distinct configs are measured.
 
     Each round measures, in one batch, as many :func:`draw_unseen` configs
-    as are still missing. Duplicates of stored configs and evaluator-rejected
-    configs are skipped without consuming budget; both count against one
-    ``_ATTEMPT_CAP``, which resets whenever the store grows. Returns the
-    new measurements in order.
+    as are still missing; ``store`` is their ``seen``. Duplicates of stored
+    configs and evaluator-rejected configs are skipped without consuming
+    budget; both count against one ``_ATTEMPT_CAP``, which resets whenever
+    the store grows. Returns the new rows as a ``(count, n)`` int64 array.
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
@@ -272,12 +276,11 @@ def sample_fresh_into_store(
     misses = 0
     while len(store) < target:
         batch, misses = draw_unseen(space, rng, target - len(store), store, misses)
-        batch = np.array(batch, dtype=np.int64)  # frees the tuples before measuring
         kept, _ = _measure_batch(evaluator, batch, len(store.objectives), store, source, iteration)
         misses = 0 if len(kept) else misses + len(batch)
         if misses >= _ATTEMPT_CAP:
             raise SpaceExhaustedError(f"no acceptable config found after {misses} samples")
-    return store._measurements(start)
+    return store.genotype_matrix()[start:]
 
 
 def run_random(
@@ -304,8 +307,8 @@ def run_random(
         )
     store = EvaluationStore(space, objectives)
     rng = search_rng(seed)
-    sample_fresh_into_store(space, evaluator, store, rng, budget, source="random", iteration=0)
-    return SearchOutcome(store, (store.genotype_matrix(), store.values_matrix()), 0)
+    G = sample_fresh_into_store(space, evaluator, store, rng, budget, source="random", iteration=0)
+    return SearchOutcome(store, (G, store.values_matrix()), 0)
 
 
 def environmental_selection(

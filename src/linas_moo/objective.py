@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -127,8 +127,9 @@ class Measurement:
 class EvaluationStore:
     """Append-only, deduplicating log of real objective measurements.
 
-    Keys are canonical genotypes. Re-inserting a known genotype is reported,
-    not stored, so search budgets count distinct configurations.
+    Rows are canonical genotypes, keyed by :meth:`SearchSpace.row_keys`;
+    ``key in store`` takes such a key. Re-inserting a known genotype is
+    reported, not stored, so search budgets count distinct configurations.
     """
 
     def __init__(self, space: SearchSpace, objectives: Sequence[ObjectiveSpec]):
@@ -140,28 +141,29 @@ class EvaluationStore:
         self._genotypes = np.empty((0, space.n_variables), space.index_dtype)
         self._values = np.empty((0, len(self.objectives)))
         self._source, self._iteration = [], []  # one str and one int per row
-        self._position: dict[Genotype, int] = {}  # genotype -> row; keys in row order
+        self._keys: set[bytes] = set()  # row keys of the stored rows
 
     def __len__(self) -> int:
         return len(self._source)
 
     def __iter__(self) -> Iterator[Measurement]:
-        return iter(self._measurements())
+        """One :class:`Measurement` per row, in insertion order."""
+        rows = slice(0, len(self))
+        return map(Measurement, count(1), map(tuple, self._genotypes[rows].tolist()),
+                   map(tuple, self._values[rows].tolist()), self._source[rows], self._iteration[rows])
 
-    def __contains__(self, genotype: Genotype) -> bool:
-        return tuple(genotype) in self._position
-
-    def _measurements(self, start: int = 0) -> list[Measurement]:
-        """One :class:`Measurement` per row from ``start`` on; its genotype is the row's key."""
-        return list(map(Measurement, count(start + 1), islice(self._position, start, None),
-                        map(tuple, self._values[start : len(self)].tolist()),
-                        self._source[start:], self._iteration[start:]))
+    def __contains__(self, key: bytes) -> bool:
+        """Whether the row of this :meth:`SearchSpace.row_keys` key is stored. A key that
+        is not ``bytes``, a genotype say, raises ``TypeError`` rather than read as unseen."""
+        if type(key) is not bytes:
+            raise TypeError(f"store lookups take a row key (bytes), got {type(key).__name__}")
+        return key in self._keys
 
     def insert_batch(self, genotypes, values, *, source: str, iteration: int = 0) -> int:
         """Store ``(B, n)`` genotypes with ``(B, m)`` values; the store's only write path.
 
         Checks the whole batch before it stores anything, so a bad row stores nothing.
-        Skips stored genotypes and repeats within the batch; returns how many rows were new.
+        Skips stored genotypes and repeats within the batch by row key; returns how many are new.
 
         Raises:
             MalformedGenotypeError: an index outside its variable's options.
@@ -173,9 +175,9 @@ class EvaluationStore:
         if type(iteration) is not int:
             raise StoreContractError(f"iteration must be an int, got {iteration!r}")
         G, V = _check_values(_check_genotypes(self.space, genotypes), values, len(self.objectives))
-        position, start = self._position, len(self)
-        new = [i for i, g in enumerate(map(tuple, G.tolist()))  # one hash per row
-               if position.setdefault(g, n := len(position)) == n]
+        keys, start = self._keys, len(self)
+        # Validated rows key exactly; ``add`` returns None, so a new key's first row is kept.
+        new = [i for i, key in enumerate(self.space.row_keys(G)) if not (key in keys or keys.add(key))]
         if (stop := start + len(new)) > len(self._values):  # double; old views keep old arrays
             by = ((0, max(stop, 2 * len(self._values)) - len(self._values)), (0, 0))
             self._genotypes, self._values = [np.pad(a, by) for a in (self._genotypes, self._values)]

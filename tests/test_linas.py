@@ -32,7 +32,7 @@ from linas_moo.objective import (
     oriented_values,
 )
 from linas_moo.predictor import RidgeModel, featurize_batch
-from linas_moo.space import MalformedGenotypeError, builtin_space
+from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace, builtin_space
 
 ACC_LAT = (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZE))
 
@@ -320,11 +320,20 @@ class TestEvaluatorInput:
 
 
 class TestSelectBestUnique:
+    SPACE = SearchSpace("pair", (DesignVariable("a", (0, 1, 2, 3)), DesignVariable("b", (0, 1))))
+
     def population(self, rows):
         return (
             np.array([g for g, _ in rows], dtype=np.int64).reshape(len(rows), 2),
             np.array([obj for _, obj in rows], dtype=np.float64).reshape(len(rows), 2),
         )
+
+    def select(self, pop, count, seen=()):
+        """``select_best_unique`` with ``seen`` given as genotypes, as tuples."""
+        keys = set(self.SPACE.row_keys(np.array(seen, dtype=np.int64).reshape(-1, 2)))
+        chosen = select_best_unique(self.SPACE, *pop, count, keys)
+        assert chosen.dtype == np.int64 and chosen.shape[1:] == (2,)
+        return list(map(tuple, chosen.tolist()))
 
     def test_orders_by_rank_then_crowding(self):
         pop = self.population(
@@ -335,8 +344,8 @@ class TestSelectBestUnique:
                 ((3, 0), (4.0, 0.0)),   # rank 0 boundary
             ]
         )
-        assert select_best_unique(*pop, 3, seen=set()) == [(1, 0), (3, 0), (2, 0)]
-        assert select_best_unique(*pop, 4, seen=set())[-1] == (0, 0)
+        assert self.select(pop, 3) == [(1, 0), (3, 0), (2, 0)]
+        assert self.select(pop, 4)[-1] == (0, 0)
 
     def test_skips_seen_and_duplicate_genotypes(self):
         pop = self.population(
@@ -347,15 +356,29 @@ class TestSelectBestUnique:
                 ((2, 0), (4.0, 0.0)),
             ]
         )
-        chosen = select_best_unique(*pop, 4, seen={(1, 0)})
+        chosen = self.select(pop, 4, seen=[(1, 0)])
         assert chosen.count((0, 0)) == 1
         assert (1, 0) not in chosen
         assert len(chosen) == 2
 
     def test_returns_short_list_when_pool_is_small(self):
         pop = self.population([((0, 0), (1.0, 1.0))])
-        assert select_best_unique(*pop, 5, seen=set()) == [(0, 0)]
-        assert select_best_unique(*self.population([]), 5, seen=set()) == []
+        assert self.select(pop, 5) == [(0, 0)]
+        assert self.select(self.population([]), 5) == []
+
+    def test_out_of_range_index_raises_before_keying(self):
+        # 256 does not fit the uint8 row key: cast unchecked, it would key as
+        # the stored row with 0 at that slot, and the pick would read as seen.
+        space = builtin_space("mobilenetv3")
+        G = space.sample_batch(np.random.default_rng(0), 1)
+        slot = int(np.flatnonzero(space.active_mask_batch(G)[0] & (G[0] == 0))[0])
+        store = EvaluationStore(space, ACC_LAT)
+        store.insert_batch(G, [(1.0, 1.0)], source="t")
+        bad = G.copy()
+        bad[0, slot] = 256
+        assert space.row_keys(bad) == space.row_keys(G)
+        with pytest.raises(MalformedGenotypeError, match="index 256 outside"):
+            select_best_unique(space, bad, np.zeros((1, 2)), 1, store)
 
 
 class TestRunLinas:
@@ -441,8 +464,8 @@ class TestRunLinas:
     def test_every_pick_is_measured_in_the_next_iteration(self, monkeypatch):
         picks = []
 
-        def recording_select(genotypes, objectives, count, seen):
-            chosen = select_best_unique(genotypes, objectives, count, seen)
+        def recording_select(space, genotypes, objectives, count, seen):
+            chosen = select_best_unique(space, genotypes, objectives, count, seen)
             picks.append((len(seen) // count, chosen))
             return chosen
 
@@ -453,8 +476,8 @@ class TestRunLinas:
         assert [i for i, _ in picks] == list(range(1, cfg.iterations))
         tags = {m.genotype: (m.source, m.iteration) for m in out.store}
         for i, chosen in picks:
-            assert chosen
-            for g in chosen:
+            assert len(chosen)
+            for g in map(tuple, chosen.tolist()):
                 assert tags[g] == ("linas", i + 1)
 
     def test_single_iteration_fits_and_searches_nothing(self, monkeypatch):

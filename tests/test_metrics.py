@@ -299,6 +299,25 @@ class TestBoundedMemory:
         assert len(store) == 100_000
         assert self.peak_bytes(hv_trace, store) < self.LIMIT
 
+    def test_store_of_1e5_rows_lives_in_25_mib(self):
+        # Arrays hold about 8 MiB at this size; one row key per row adds the rest.
+        space = builtin_space("mobilenetv3")
+        raw = np.random.default_rng(1).integers(0, space.option_counts, (110_000, space.n_variables))
+        G = space.canonicalize_batch(raw)
+        _, first = np.unique(G, axis=0, return_index=True)
+        G = G[np.sort(first)[:100_000]]
+        V = np.ones((len(G), 2))
+        tracemalloc.start()
+        try:
+            store = EvaluationStore(space, ACC_LAT)
+            for lo in range(0, len(G), 50):
+                store.insert_batch(G[lo : lo + 50], V[lo : lo + 50], source="random")
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 100_000
+        assert live < 25 * 2**20
+
 
 class TestNormalizedHypervolume:
     def test_point_at_union_minimum_scores_one(self):

@@ -617,7 +617,8 @@ class TestSampleFreshIntoStore:
             free_space, evaluator, store, rng, 8, source="random"
         )
         assert len(store) == 16
-        genotypes = {m.genotype for m in first} | {m.genotype for m in second}
+        assert first.shape == second.shape == (8, 3) and first.dtype == np.int64
+        genotypes = set(map(tuple, np.concatenate([first, second]).tolist()))
         assert len(genotypes) == 16
 
     def test_raises_when_no_unseen_config_exists(self, free_space):
@@ -659,15 +660,27 @@ class TestDrawUnseen:
                 seen = set(sorted(enumerate_canonicals(space))[::2])
                 count = 10
             rng, ref_rng = search_rng(seed), search_rng(seed)
-            got = draw_unseen(space, rng, count, seen)
-            assert got == draw_unseen_reference(space, ref_rng, count, seen)
+            keys = set(space.row_keys(np.array(sorted(seen))))
+            got, misses = draw_unseen(space, rng, count, keys)
+            want, want_misses = draw_unseen_reference(space, ref_rng, count, seen)
+            assert got.dtype == np.int64 and got.shape == (count, space.n_variables)
+            assert list(map(tuple, got.tolist())) == want
+            assert misses == want_misses
 
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_raises_when_every_draw_is_seen(self, free_space, monkeypatch):
         monkeypatch.setattr(moea, "_ATTEMPT_CAP", 50)
+        seen = set(free_space.row_keys(np.array(sorted(enumerate_canonicals(free_space)))))
         with pytest.raises(SpaceExhaustedError, match="after 50 samples"):
-            draw_unseen(free_space, search_rng(0), 2, enumerate_canonicals(free_space))
+            draw_unseen(free_space, search_rng(0), 2, seen)
+
+    def test_zero_draws_are_an_empty_array(self, free_space):
+        rng = search_rng(0)
+        state = rng.bit_generator.state
+        got, misses = draw_unseen(free_space, rng, 0, ())
+        assert got.shape == (0, 3) and got.dtype == np.int64 and misses == 0
+        assert rng.bit_generator.state == state
 
 
 class TestNsga2:

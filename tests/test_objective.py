@@ -146,7 +146,17 @@ class TestEvaluationStore:
         assert [tuple(vars(m).values()) for m in store] == rows
         assert store.genotype_matrix().tolist() == [list(r[1]) for r in rows]
         assert store.values_matrix().tolist() == [list(r[2]) for r in rows]
-        assert all(g in store for g in position)
+        assert all(key in store for key in space.row_keys(np.array(list(position))))
+
+    def test_lookups_take_row_keys_only(self):
+        store = self.make_store()
+        store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t")
+        key, other = store.space.row_keys(np.array([(0, 1, 0, 0), (1, 2, 1, 0)]))
+        assert key in store and other not in store
+        # A genotype is no key: it raises rather than read as unseen.
+        for row in ((0, 1, 0, 0), np.array([0, 1, 0, 0])):
+            with pytest.raises(TypeError, match="row key"):
+                row in store
 
     def test_values_matrix_is_a_read_only_view_that_keeps_its_rows(self):
         store = self.make_store()
