@@ -47,12 +47,22 @@ class PredictorEvaluator:
     models: tuple
 
     def evaluate_batch(self, genotypes) -> np.ndarray:
-        X = featurize_canonical(self.space, _check_genotypes(self.space, genotypes))
+        return self._predict(_check_genotypes(self.space, genotypes))
+
+    def _predict(self, G: np.ndarray) -> np.ndarray:
+        X = featurize_canonical(self.space, G)
         preds = [m.predict(X) for m in self.models]
         out = np.empty((len(preds[0]), len(preds)))  # a short prediction stays visible as a shape
         for k, p in enumerate(preds):
             out[:, k] = p
         return out
+
+
+class _InnerSurrogate(PredictorEvaluator):
+    """The inner search's :class:`PredictorEvaluator`, without the genotype check:
+    :func:`nsga2_core` hands it only rows it built valid and canonical itself."""
+
+    evaluate_batch = PredictorEvaluator._predict
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def run_linas(
 
     for it in range(1, config.iterations + 1):
         if it > 1:
-            surrogate = PredictorEvaluator(space, _fit_models(store, kinds, seed=config.seed))
+            surrogate = _InnerSurrogate(space, _fit_models(store, kinds, seed=config.seed))
             inner_cfg = EaConfig(
                 population_size=config.population_size,
                 max_evaluations=config.inner_evaluations,

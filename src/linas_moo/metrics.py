@@ -23,35 +23,40 @@ def store_objective_matrix(store: EvaluationStore) -> np.ndarray:
     return oriented_values(store.values_matrix(), store.objectives)
 
 
+def _front0_2d(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The non-NaN rows of an (N, 2) minimization matrix sorted on (f1, f2),
+    ties in index order, and which are in front 0: those whose f2 lies below
+    the f2 of every row before them, copies sharing their first copy's."""
+    rows = np.lexsort((F[:, 1], F[:, 0]))
+    rows = rows[~(np.isnan(F[:, 0]) | np.isnan(F[:, 1]))[rows]]
+    x, y = F.take(rows, axis=0).T
+    best = np.empty(len(rows), dtype=bool)
+    best[:1] = True
+    np.less(y[1:], np.minimum.accumulate(y[:-1]), out=best[1:])
+    lead = np.empty_like(best)  # rows that are not a copy of the row before
+    lead[:1] = True
+    np.not_equal(x[1:], x[:-1], out=lead[1:])
+    lead[1:] |= y[1:] != y[:-1]
+    return rows, best[np.maximum.accumulate(np.arange(len(rows)) * lead)]  # copies share it
+
+
 def _ranks_2d(F: np.ndarray, stop: int) -> np.ndarray:
     """Front rank of every row of an (N, 2) minimization matrix, O(N log N).
 
     A NaN row is rank 0 and dominates nothing; the other rows are sorted once
-    on (f1, f2). When ``stop < N``, one sweep finds front 0: a row is in it
-    iff its f2 lies below the f2 of every row before it, copies sharing their
-    first copy's rank. If front 0 and the NaN rows hold ``stop`` rows, every
-    other row is rank 1. Otherwise, front r's latest member dominates a row
-    iff its (f2, f1) key is smaller; the keys ascend with r, so bisection
-    finds the row's front (Jensen, TEC 2003).
+    on (f1, f2) and swept for front 0 (:func:`_front0_2d`). When ``stop < N``
+    and front 0 and the NaN rows hold ``stop`` rows, every other row is
+    rank 1. Otherwise, front r's latest member dominates a row iff its
+    (f2, f1) key is smaller; the keys ascend with r, so bisection finds the
+    row's front (Jensen, TEC 2003).
     """
     ranks = np.zeros(len(F), dtype=np.int64)
-    rows = np.lexsort((F[:, 1], F[:, 0]))
-    rows = rows[~(np.isnan(F[:, 0]) | np.isnan(F[:, 1]))[rows]]
-    x, y = F.take(rows, axis=0).T
-    if len(rows) and stop < len(F):
-        best = np.empty(len(rows), dtype=bool)
-        best[0] = True
-        np.less(y[1:], np.minimum.accumulate(y[:-1]), out=best[1:])
-        lead = np.empty_like(best)  # rows that are not a copy of the row before
-        lead[0] = True
-        np.not_equal(x[1:], x[:-1], out=lead[1:])
-        lead[1:] |= y[1:] != y[:-1]
-        best = best[np.maximum.accumulate(np.arange(len(rows)) * lead)]  # copies share it
-        if len(F) - len(rows) + np.count_nonzero(best) >= stop:
-            ranks[rows[~best]] = 1
-            return ranks
+    rows, best = _front0_2d(F)
+    if stop < len(F) and len(F) - len(rows) + np.count_nonzero(best) >= stop:
+        ranks[rows[~best]] = 1
+        return ranks
     lasts, found = [], []  # each front's latest (f2, f1) key; each row's front
-    for key in zip(y.tolist(), x.tolist()):
+    for key in zip(F[rows, 1].tolist(), F[rows, 0].tolist()):
         r = bisect.bisect_left(lasts, key)
         lasts[r : r + 1] = [key]
         found.append(r)

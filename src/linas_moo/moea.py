@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import _ranks
+from .metrics import _front0_2d, _ranks
 from .objective import (
     EvaluationStore,
     ObjectiveSpec,
@@ -200,12 +200,20 @@ def mutate(
     the same option count, the draw takes a scalar bound, which yields the
     same values and generator state as the per-variable bounds.
     """
-    G = np.asarray(G, dtype=np.int64)
-    option_counts = np.asarray(option_counts, dtype=np.int64)
-    hits = (rng.random(G.shape) < prob) & (option_counts > 1)
-    draw = rng.integers(0, uniform_bound(np.maximum(option_counts - 1, 1)), size=G.shape)
-    replacement = draw + (draw >= G)
-    return np.where(hits, replacement, G)
+    return _mutator(option_counts, prob)(rng, np.asarray(G, dtype=np.int64))
+
+
+def _mutator(option_counts, prob: float):
+    """:func:`mutate` over int64 genotypes, its per-variable constants computed once."""
+    counts = np.asarray(option_counts, dtype=np.int64)
+    mutable, bound = counts > 1, uniform_bound(np.maximum(counts - 1, 1))
+
+    def apply(rng: np.random.Generator, G: np.ndarray) -> np.ndarray:
+        hits = (rng.random(G.shape) < prob) & mutable
+        draw = rng.integers(0, bound, size=G.shape)
+        return np.where(hits, draw + (draw >= G), G)
+
+    return apply
 
 
 def _measure_batch(
@@ -321,9 +329,17 @@ def environmental_selection(
     the population is kept whole in index order. Only the fronts that fill
     the population need their ranks (:func:`_ranks` with ``stop=pop_size``):
     later rows may share one larger rank, and none of them survives. ``F``
-    is a float (N, m) minimization matrix.
+    is a float (N, m) minimization matrix. When a finite two-column pool of
+    more than ``pop_size`` rows has a front 0 (:func:`_front0_2d`) that fills
+    the population, only front 0 is crowded: its f1 order is that one sort,
+    its f2 order the same reversed with copies in index order. Every other
+    pool (NaN or inf values, other column counts) takes the general path.
     Returns (genotypes, objectives, ranks, crowding) for the survivors.
     """
+    if F.shape[1] == 2 and pop_size < len(F) and np.isfinite(F).all():
+        rows, best = _front0_2d(F)
+        if np.count_nonzero(best) >= pop_size:
+            return _select_front0(G, F, rows[best], pop_size)
     ranks = _ranks(F, pop_size)
     crowd = _crowding(F, ranks)
     idx = np.argsort(ranks, kind="stable")
@@ -336,6 +352,23 @@ def environmental_selection(
         idx = np.concatenate([head, tail])
     idx = idx[:pop_size]
     return G[idx], F[idx], ranks[idx], crowd[idx]
+
+
+def _select_front0(G: np.ndarray, F: np.ndarray, front: np.ndarray, pop_size: int):
+    """Selection from a finite pool's front 0, ``front`` in (f1, f2) order and at
+    least ``pop_size`` rows, crowded with :func:`_crowding`'s arithmetic."""
+    crowd = np.zeros(len(F))
+    f2_order = front[np.argsort(F[front, 1], kind="stable")]  # only copies tie
+    with np.errstate(all="ignore"):
+        for order, col in ((front, F[:, 0]), (f2_order, F[:, 1])):
+            c = col[order]
+            if c[-1] != c[0]:
+                crowd[order[[0, -1]]] = math.inf
+                crowd[order[1:-1]] += (c[2:] - c[:-2]) / (c[-1] - c[0])
+    members = np.sort(front)
+    if len(members) > pop_size:
+        members = members[np.argsort(-crowd[members], kind="stable")[:pop_size]]
+    return G[members], F[members], np.zeros(pop_size, dtype=np.int64), crowd[members]
 
 
 def nsga2_core(
@@ -359,7 +392,8 @@ def nsga2_core(
     """
     rng = search_rng(config.seed)
     pop = config.population_size
-    counts = space.option_counts
+    mutation = _mutator(space.option_counts, config.mutation_prob)
+    signs = oriented_values(np.ones(len(objectives)), objectives)  # -1.0 where maximized
     budget_left = config.max_evaluations
     index: dict[bytes, int] = {}  # row key -> row of ``table``
     table = np.empty((_TABLE_ROWS, len(objectives)))  # minimized values, spare rows at the end
@@ -387,7 +421,7 @@ def nsga2_core(
             start, new = len(index), len(kept)
             if (stop := start + new) > len(table):  # double, or more for a large first batch
                 table = np.pad(table, ((0, max(stop, 2 * len(table)) - len(table)), (0, 0)))
-            table[start:stop] = oriented_values(V, objectives)
+            table[start:stop] = V * signs
             index.update(zip(new_keys, range(start, stop)))
         positions = list(map(index.get, keys))
         if None in positions:  # rejected, or past the budget
@@ -434,7 +468,7 @@ def nsga2_core(
         children = np.empty((2 * n_pairs, space.n_variables), dtype=np.int64)
         children[0::2] = C1
         children[1::2] = C2
-        children = mutate(rng, children[:pop], counts, config.mutation_prob)
+        children = mutation(rng, children[:pop])
         children = space.canonicalize_batch(children)
 
         # Measure: known children are free, new configs spend budget in

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import make_free_space, make_masked_space
 from linas_moo import linas
 from linas_moo.linas import (
     LinasConfig,
@@ -32,7 +33,9 @@ from linas_moo.objective import (
     oriented_values,
 )
 from linas_moo.predictor import RidgeModel, featurize_batch
-from linas_moo.space import DesignVariable, MalformedGenotypeError, SearchSpace, builtin_space
+from linas_moo.space import (
+    BUILTIN_SPACES, DesignVariable, MalformedGenotypeError, SearchSpace, builtin_space,
+)
 
 ACC_LAT = (ObjectiveSpec("accuracy", MAXIMIZE), ObjectiveSpec("latency", MINIMIZE))
 
@@ -251,6 +254,47 @@ class TestInnerMeasure:
         assert list(map(tuple, values.tolist())) == [m.values for m in out.store]
 
 
+class TestInnerRowsNeedNoCheck:
+    """The inner search's surrogate predicts without the genotype check: every
+    row ``nsga2_core`` hands ``evaluate_batch`` is a uniform draw or a child
+    that crossover, mutation and ``canonicalize_batch`` built from such rows,
+    so it is valid and canonical."""
+
+    SPACES = [builtin_space(name) for name in BUILTIN_SPACES] + [
+        make_free_space(), make_masked_space()
+    ]
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda space: space.name)
+    def test_served_rows_pass_the_check(self, space):
+        served = []
+        weights = np.arange(1.0, space.n_variables + 1)
+
+        class Checking:
+            def evaluate_batch(self, G):
+                assert space.validate_batch(G).tobytes() == G.tobytes()
+                assert not space.noncanonical_rows(G).any()
+                served.append(len(G))
+                return np.column_stack([G @ weights, G[:, ::-1] @ weights])
+
+        small = space.cardinality() < 100
+        for seed in range(12):
+            for mutation_prob in (0.02, 0.3, 1.0):
+                cfg = EaConfig(
+                    population_size=4 if small else 12,
+                    max_evaluations=20 if small else 600,
+                    mutation_prob=mutation_prob, seed=seed, max_generations=40,
+                )
+                nsga2_core(space, Checking(), ACC_LAT, cfg)
+        assert sum(served) > (500 if small else 12_000)
+
+    def test_predicts_what_the_checked_evaluator_predicts(self):
+        space, land = small_problem()
+        checked = fitted_surrogate(space, land)
+        trusted = linas._InnerSurrogate(checked.space, checked.models)
+        G = space.sample_batch(np.random.default_rng(3), 64)
+        assert trusted.evaluate_batch(G).tobytes() == checked.evaluate_batch(G).tobytes()
+
+
 class TestInnerMeasureInput:
     """``evaluate_batch`` takes the int64 arrays ``nsga2_core`` passes it, and
     checks genotypes before any model runs."""
@@ -302,13 +346,20 @@ class TestEvaluatorInput:
                 return land.evaluate_batch(G)
 
         surrogate_batches = []
-        predict = PredictorEvaluator.evaluate_batch
+        core = linas.nsga2_core
 
-        def recording_predict(surrogate, G):
-            surrogate_batches.append(G)
-            return predict(surrogate, G)
+        class RecordingSurrogate:
+            def __init__(self, surrogate):
+                self.surrogate = surrogate
 
-        monkeypatch.setattr(PredictorEvaluator, "evaluate_batch", recording_predict)
+            def evaluate_batch(self, G):
+                surrogate_batches.append(G)
+                return self.surrogate.evaluate_batch(G)
+
+        # The inner search's surrogate is whatever run_linas hands nsga2_core.
+        monkeypatch.setattr(
+            linas, "nsga2_core", lambda space, ev, *args: core(space, RecordingSurrogate(ev), *args)
+        )
         run_random(space, Recording(), ACC_LAT, 30, seed=0)
         run_nsga2(space, Recording(), ACC_LAT, EaConfig(population_size=10, max_evaluations=40))
         run_linas(space, Recording(), ACC_LAT, quick_config())

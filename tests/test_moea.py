@@ -500,6 +500,82 @@ class TestRanksUpToStop:
         assert np.array_equal(ranks, np.arange(700))
 
 
+def selection_by_rank_and_crowd(G, F, pop_size):
+    """``environmental_selection`` as it stood before its front-0 path, for
+    every pool: rank the fronts that fill the population, crowd every rank, cut."""
+    ranks = _ranks(F, pop_size)
+    crowd = moea._crowding(F, ranks)
+    idx = np.argsort(ranks, kind="stable")
+    if pop_size < len(idx) and ranks[idx[pop_size]] == ranks[idx[pop_size - 1]]:
+        cut = ranks[idx[pop_size - 1]]
+        head = idx[ranks[idx] < cut]
+        members = np.flatnonzero(ranks == cut)
+        tail = members[np.argsort(-crowd[members], kind="stable")[: pop_size - len(head)]]
+        idx = np.concatenate([head, tail])
+    idx = idx[:pop_size]
+    return G[idx], F[idx], ranks[idx], crowd[idx]
+
+
+def anti_correlated_pools(seed, count, max_n=90):
+    """Two-column pools whose front 0 mostly outgrows a population: f2 falls as
+    f1 rises, on few levels (so copies are common), with some dominated rows,
+    signed zeros, and scales that underflow or overflow the crowding gaps."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(3, max_n + 1))
+        x = rng.integers(0, int(rng.integers(2, 60)), size=n).astype(float)
+        F = np.column_stack([x, -x]) + (rng.random((n, 1)) < 0.15) * rng.integers(1, 4, (n, 2))
+        F -= np.round(F.mean(axis=0))  # so a column's range may exceed the largest float
+        F[F == 0] *= rng.choice([1.0, -1.0], size=np.count_nonzero(F == 0))
+        yield F * (1.0, 1e-310, 4e306)[i % 3]
+
+
+class TestFront0Selection:
+    """``environmental_selection``'s one-sort front-0 path against the general
+    rank, crowd and cut, bit for bit, at every population size."""
+
+    def select_all_sizes(self, F, rng):
+        G = rng.integers(0, 9, size=(len(F), 3))
+        for pop_size in range(2, len(F)):
+            got = environmental_selection(G, F, pop_size)
+            want = selection_by_rank_and_crowd(G, F, pop_size)
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+
+    def spy(self, monkeypatch):
+        calls = []
+        real = moea._select_front0
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(moea, "_select_front0", counted)
+        return calls
+
+    def test_matches_general_path_on_hard_and_anti_correlated_pools(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rng = np.random.default_rng(47)
+        cases = list(hard_objective_matrices(seed=47, count=150, max_n=90))
+        cases += anti_correlated_pools(seed=53, count=90)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for F in cases:
+                self.select_all_sizes(F, rng)
+        assert len(calls) > 2_000  # pools whose front 0 fills the population
+        assert any(size > 40 for size in calls)
+
+    def test_nan_rows_take_the_general_path(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rng = np.random.default_rng(59)
+        for F in anti_correlated_pools(seed=59, count=30):
+            F[rng.random(len(F)) < 0.2, int(rng.integers(0, 2))] = np.nan
+            F[0, 0] = np.nan
+            with np.errstate(invalid="ignore"):
+                self.select_all_sizes(F, rng)
+        assert calls == []
+
+
 class TestInfiniteColumns:
     """Crowding on +-inf columns: no warning, and the same values as before,
     bit for bit against the per-front reference (nan sign bits included)."""
@@ -817,6 +893,24 @@ def reject_first_option(g):
     return (math.nan, math.nan) if g[0] == 0 else (float(sum(g)), float(g[0]))
 
 
+def record_mutations(monkeypatch, on_children):
+    """Hand ``on_children`` each generation's mutated children in ``nsga2_core``,
+    which mutates through the function ``moea._mutator`` builds once per search."""
+    real = moea._mutator
+
+    def recording(*args):
+        apply = real(*args)
+
+        def recorded(rng, G):
+            out = apply(rng, G)
+            on_children(out)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(moea, "_mutator", recording)
+
+
 class TestMeasureProtocol:
     """What ``nsga2_core`` hands ``evaluate_batch``: int64 ``(k, n)`` arrays of
     distinct, unseen, canonical rows in child order, cut at the budget, and
@@ -826,14 +920,11 @@ class TestMeasureProtocol:
         seen: set = set()
         offered = [None]  # per generation: (fresh children, the budget's cut)
         calls = []
-        real_mutate = moea.mutate
 
-        def recording_mutate(*args):
-            out = real_mutate(*args)
+        def on_children(out):
             children = map(tuple, space.canonicalize_batch(out).tolist())
             fresh = [g for g in dict.fromkeys(children) if g not in seen]
             offered.append((fresh, fresh[: cfg.max_evaluations - len(seen)]))
-            return out
 
         class Recording:
             def evaluate_batch(self, rows):
@@ -848,7 +939,7 @@ class TestMeasureProtocol:
                 nan = (math.nan, math.nan)
                 return np.array([nan if reject(g) else (float(sum(g)), float(g[0])) for g in keys])
 
-        monkeypatch.setattr(moea, "mutate", recording_mutate)
+        record_mutations(monkeypatch, on_children)
         _, _, generations = moea.nsga2_core(space, Recording(), ACC_LAT, cfg)
         assert len(offered) == generations + 1
         return offered, calls
@@ -897,12 +988,9 @@ class TestDedupTable:
         asked: list[list[tuple]] = []
         raw: dict[tuple, np.ndarray] = {}  # row -> the values the evaluator returned
         children: list[list[tuple]] = []  # per generation, canonical children
-        real_mutate = moea.mutate
 
-        def recording_mutate(*args):
-            out = real_mutate(*args)
+        def on_children(out):
             children.append(list(map(tuple, space.canonicalize_batch(out).tolist())))
-            return out
 
         class Recording:
             def evaluate_batch(self, rows):
@@ -913,7 +1001,7 @@ class TestDedupTable:
                 raw.update(zip(keys, V))
                 return V
 
-        monkeypatch.setattr(moea, "mutate", recording_mutate)
+        record_mutations(monkeypatch, on_children)
         G, F, _ = moea.nsga2_core(space, Recording(), ACC_LAT, cfg, store)
         return asked, raw, children, G, F
 
