@@ -136,10 +136,13 @@ def select_best_unique(space: SearchSpace, genotypes, objectives, count: int, se
     Raises:
         MalformedGenotypeError: a row of the wrong length or an index outside
             its variable's options, which would key as another row.
+        ValueError: a negative ``count``.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     G = space.validate_batch(genotypes)
-    if len(G) == 0:
-        return G
+    if len(G) == 0 or count == 0:
+        return G[:0]
     ranks, crowd = rank_and_crowd(objectives)
     keys = space.row_keys(G)
     picked: dict[bytes, int] = {}  # key -> its first row, in pick order

@@ -36,6 +36,7 @@ from .space import SearchSpace, uniform_bound
 _SEARCH_SEED_TAG = 0x5EED
 _ATTEMPT_CAP = 100_000
 _TABLE_ROWS = 256  # initial capacity of nsga2_core's value table
+_STALL_GENERATIONS = 50  # nsga2_core stops after this many generations with no new config
 
 
 class SpaceExhaustedError(RuntimeError):
@@ -57,8 +58,8 @@ class EaConfig:
 
     ``max_evaluations`` bounds store growth (distinct measured configs);
     ``max_generations`` optionally caps the generation count, which the
-    predictor-guided inner search uses; ``stall_generations`` is a safety
-    stop after that many generations without store growth (duplicate-only
+    predictor-guided inner search uses. A search also stops after
+    ``_STALL_GENERATIONS`` generations without a new config (duplicate-only
     offspring, e.g. on a nearly exhausted space).
     """
 
@@ -68,7 +69,6 @@ class EaConfig:
     mutation_prob: float = 0.02
     seed: int = 0
     max_generations: int | None = None
-    stall_generations: int = 50
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -84,8 +84,6 @@ class EaConfig:
             raise ValueError("mutation_prob must lie in [0, 1]")
         if self.max_generations is not None and self.max_generations < 0:
             raise ValueError("max_generations must be non-negative")
-        if self.stall_generations < 1:
-            raise ValueError("stall_generations must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,21 +188,15 @@ def crossover_two_point(
     return np.where(swap, B, A), np.where(swap, A, B)
 
 
-def mutate(
-    rng: np.random.Generator, G, option_counts, prob: float
-) -> np.ndarray:
-    """Per-position mutation of ``(B, n)`` genotypes.
+def _mutator(option_counts, prob: float):
+    """Per-position mutation of ``(B, n)`` int64 genotypes, its per-variable constants
+    computed once.
 
     Each hit position moves to a uniformly chosen different option index.
     Every position draws a replacement, hit or not; when every variable has
     the same option count, the draw takes a scalar bound, which yields the
     same values and generator state as the per-variable bounds.
     """
-    return _mutator(option_counts, prob)(rng, np.asarray(G, dtype=np.int64))
-
-
-def _mutator(option_counts, prob: float):
-    """:func:`mutate` over int64 genotypes, its per-variable constants computed once."""
     counts = np.asarray(option_counts, dtype=np.int64)
     mutable, bound = counts > 1, uniform_bound(np.maximum(counts - 1, 1))
 
@@ -243,7 +235,10 @@ def draw_unseen(
 
     Raises:
         SpaceExhaustedError: once the miss count reaches ``_ATTEMPT_CAP``.
+        ValueError: a negative ``count``.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     parts, batch = [np.empty((0, space.n_variables), np.int64)], set()
     while len(batch) < count:
         draws = space.sample_batch(rng, count - len(batch))
@@ -279,7 +274,10 @@ def sample_fresh_into_store(
 
     Raises:
         SpaceExhaustedError: after a long run of samples without growth.
+        ValueError: a negative ``count``.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     start, target = len(store), len(store) + count
     misses = 0
     while len(store) < target:
@@ -453,7 +451,7 @@ def nsga2_core(
 
     generations = 0
     stall = 0
-    while budget_left > 0 and stall < config.stall_generations:
+    while budget_left > 0 and stall < _STALL_GENERATIONS:
         if config.max_generations is not None and generations >= config.max_generations:
             break
         generations += 1

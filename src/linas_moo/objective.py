@@ -15,10 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def _check_values(G: np.ndarray, values, m: int, rejectable: bool = False):
 
 @dataclass(frozen=True)
 class Measurement:
-    """One stored evaluation.
+    """One line of a measurement file, as :func:`read_measurements_jsonl` reads it.
 
     Attributes:
         eval_index: 1-based, gapless position in measurement order.
@@ -145,12 +145,6 @@ class EvaluationStore:
 
     def __len__(self) -> int:
         return len(self._source)
-
-    def __iter__(self) -> Iterator[Measurement]:
-        """One :class:`Measurement` per row, in insertion order."""
-        rows = slice(0, len(self))
-        return map(Measurement, count(1), map(tuple, self._genotypes[rows].tolist()),
-                   map(tuple, self._values[rows].tolist()), self._source[rows], self._iteration[rows])
 
     def __contains__(self, key: bytes) -> bool:
         """Whether the row of this :meth:`SearchSpace.row_keys` key is stored. A key that
@@ -239,11 +233,6 @@ class MeasurementColumns:
 
     def __len__(self) -> int:
         return len(self.source)
-
-    def measurements(self) -> list[Measurement]:
-        """One :class:`Measurement` per row."""
-        return list(map(Measurement, self.eval_index, map(tuple, self.genotypes.tolist()),
-                        map(tuple, self.values.tolist()), self.source, self.iteration))
 
 
 # Keys in the order a line is checked; the first missing one is named.
@@ -352,7 +341,9 @@ def read_measurement_columns(path: str | Path) -> MeasurementColumns:
 
 def read_measurements_jsonl(path: str | Path) -> list[Measurement]:
     """:func:`read_measurement_columns` as one :class:`Measurement` per line."""
-    return read_measurement_columns(path).measurements()
+    c = read_measurement_columns(path)
+    return list(map(Measurement, c.eval_index, map(tuple, c.genotypes.tolist()),
+                    map(tuple, c.values.tolist()), c.source, c.iteration))
 
 
 def normalize_latency(values) -> np.ndarray:

@@ -380,12 +380,15 @@ def mape(predicted, actual) -> float:
     """Mean absolute percentage error, in percent.
 
     Raises:
+        ValueError: on a non-finite entry.
         UndefinedMetricError: if any actual value is 0.
     """
     p = np.asarray(predicted, dtype=np.float64)
     a = np.asarray(actual, dtype=np.float64)
     if p.shape != a.shape or p.ndim != 1 or p.size == 0:
         raise ValueError("predicted and actual must be equal-length non-empty vectors")
+    if not (np.isfinite(p).all() and np.isfinite(a).all()):
+        raise ValueError("predicted and actual must be finite")
     if np.any(a == 0):
         raise UndefinedMetricError("MAPE undefined: actual contains 0")
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
@@ -416,12 +419,15 @@ def kendall_tau(x, y) -> float:
     whose symmetric counts are halved.
 
     Raises:
+        ValueError: on a non-finite entry, which would compare as tied with every value.
         UndefinedMetricError: if either vector is fully tied.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length vectors with at least 2 entries")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     n = x.size
     step = max(1, _TAU_BLOCK_PAIRS // n)
     counts = np.zeros(4, dtype=np.int64)

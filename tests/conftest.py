@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linas_moo.objective import MeasurementColumns, read_measurement_columns
 from linas_moo.space import DependencyRule, DesignVariable, SearchSpace
 
 
@@ -56,6 +59,20 @@ def enumerate_canonicals(space: SearchSpace) -> set[tuple[int, ...]]:
     """Exhaustive oracle: canonical forms of every raw index vector."""
     axes = [range(len(v.options)) for v in space.variables]
     return {canonical_oracle(space, raw) for raw in itertools.product(*axes)}
+
+
+def store_columns(store) -> MeasurementColumns:
+    """A store's rows as its JSONL file reads back, the public view of each
+    row's ``eval_index``, ``source`` and ``iteration``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        store.to_jsonl(path)
+        return read_measurement_columns(path)
+
+
+def stored_genotypes(store) -> list[tuple[int, ...]]:
+    """A store's genotypes as tuples, in insertion order."""
+    return list(map(tuple, store.genotype_matrix().tolist()))
 
 
 def hard_objective_matrices(seed: int, count: int, ms=(2,), max_n: int = 300):

@@ -1,8 +1,10 @@
-"""The in-process A/B timer on its tiny case: A/A equal, a changed tree differs."""
+"""The in-process A/B timer on tiny cases: A/A equal, a changed tree differs."""
 
 import importlib.util
 import shutil
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ab_inprocess", _ROOT / "tools" / "ab_inprocess.py")
@@ -33,3 +35,27 @@ def test_each_side_runs_its_own_checkout(tmp_path, capsys):
     assert tiny_row(_ROOT, changed, capsys).endswith(" DIFFER")
     # The copy alone, on both sides, agrees with itself.
     assert tiny_row(changed, changed, capsys).endswith(" equal")
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [
+        ("svr_fit", {"FIT_SIZES": (20, 40)}),
+        ("ridge_fit", {"FIT_SIZES": (20, 40), "RIDGE_REPEATS": 2}),
+        ("hv_trace_3k", {"HV_ROWS": 60}),
+        ("store_insert", {"STORE_ROWS": 120}),
+    ],
+)
+def test_per_layer_case_at_a_tiny_size(monkeypatch, capsys, case, sizes):
+    for name, value in sizes.items():
+        monkeypatch.setattr(ab_inprocess, name, value)
+    argv = ["--parent", str(_ROOT), "--change", str(_ROOT), "--case", case, "--pairs", "2"]
+    assert ab_inprocess.main(argv) == 0
+    header, row, *notes = capsys.readouterr().out.strip().splitlines()
+    assert row.startswith(case) and row.endswith(" equal") and "/2 " in row
+    if case == "svr_fit":  # each side's fits, with their iterations and convergence
+        assert [n.split(":")[0] for n in notes] == ["  parent", "  change"]
+        assert notes[0] == notes[1].replace("change", "parent") and "n=40: " in notes[0]
+        assert "converged True" in notes[0]
+    else:
+        assert notes == []

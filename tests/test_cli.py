@@ -15,7 +15,7 @@ from linas_moo.objective import (
     EvaluationStore,
     ObjectiveSpec,
     TabularEvaluator,
-    read_measurements_jsonl,
+    read_measurement_columns,
 )
 from linas_moo.space import builtin_space
 
@@ -168,12 +168,9 @@ class TestSearchCommand:
         area = float(np.prod(hi - lo))
         per_seed = {}
         for seed in (0, 1):
-            records = read_measurements_jsonl(out_dir / f"random_seed{seed}.jsonl")
+            cols = read_measurement_columns(out_dir / f"random_seed{seed}.jsonl")
             store = EvaluationStore(builtin_space("ncf"), ACC_LAT)
-            for m in records:
-                store.insert_batch(
-                    [m.genotype], [m.values], source=m.source, iteration=m.iteration
-                )
+            assert store.insert_batch(cols.genotypes, cols.values, source="random") == len(cols)
             trace = hv_trace(store, reference=hi, stride=10)
             per_seed[seed] = [v / area for v in trace.hypervolumes]
             csv_rows = read_csv(out_dir / f"random_seed{seed}_trace.csv")[1:]
@@ -223,8 +220,8 @@ class TestSearchCommand:
             budget=15,
         )
         assert main(["search", "-c", write_config(tmp_path, cfg)]) == 0
-        records = read_measurements_jsonl(tmp_path / "out" / "linas_seed0.jsonl")
-        assert [m.iteration for m in records] == [1] * 5 + [2] * 5 + [3] * 5
+        cols = read_measurement_columns(tmp_path / "out" / "linas_seed0.jsonl")
+        assert cols.iteration == [1] * 5 + [2] * 5 + [3] * 5
 
     def test_failed_arm_marks_manifest_and_exits_3(self, tmp_path, free_space, capsys):
         table = {
@@ -327,9 +324,9 @@ class TestSearchCommand:
             budget=8,
         )
         assert main(["search", "-c", write_config(tmp_path, cfg)]) == 0
-        records = read_measurements_jsonl(tmp_path / "out" / "random_seed0.jsonl")
-        assert len(records) == 8
-        assert all(m.genotype in table for m in records)
+        cols = read_measurement_columns(tmp_path / "out" / "random_seed0.jsonl")
+        assert len(cols) == 8
+        assert set(map(tuple, cols.genotypes.tolist())) <= table.keys()
 
     def test_capacity_exit_4(self, tmp_path, free_space, capsys):
         cfg = base_config(
@@ -493,7 +490,7 @@ class TestSearchConfigErrors:
     @pytest.mark.parametrize(
         "kind, known",
         [
-            ("nsga2", "crossover_prob, mutation_prob, population_size, stall_generations"),
+            ("nsga2", "crossover_prob, mutation_prob, population_size"),
             (
                 "linas",
                 "crossover_prob, inner_evaluations, iterations, mutation_prob, "
@@ -511,6 +508,13 @@ class TestSearchConfigErrors:
         code, err = self.run(tmp_path, cfg, capsys)
         assert code == 2
         assert f"algorithms[0].parameters.{key}: unknown field (known: {known})" in err
+
+    def test_stall_generations_is_not_a_parameter(self, tmp_path, capsys):
+        # The stall stop is a constant of the NSGA-II loop, not an option.
+        cfg = self.algorithm(tmp_path, "nsga2", {"stall_generations": 10})
+        code, err = self.run(tmp_path, cfg, capsys)
+        assert code == 2
+        assert "algorithms[0].parameters.stall_generations: unknown field" in err
 
     @pytest.mark.parametrize("key", ["crossover_prob", "mutation_prob"])
     def test_linas_probability_out_of_range(self, tmp_path, capsys, key):

@@ -5,7 +5,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import linas_moo
+from linas_moo import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +50,22 @@ def test_every_readme_api_name_resolves():
             missing.append(span)
     assert missing == []
     assert len(checked) >= 20
+
+
+def accepted_parameters(kind: str) -> set[str]:
+    """The ``parameters`` the search config takes for ``kind``, as the refusal of an
+    unknown one lists them."""
+    with pytest.raises(cli.ConfigError) as refused:
+        cli._validate_algorithm({"kind": kind, "parameters": {"?": 0}}, 250, 0)
+    known = re.search(r"unknown field \(known: (.*)\)", str(refused.value)).group(1)
+    return set(known.split(", ")) - {""}
+
+
+def test_readme_lists_the_parameters_each_kind_accepts():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Each kind accepts", 1)[1].split("The names are the fields", 1)[0]
+    listed = {
+        kind: set(re.findall(r"`(\w+)`", names))
+        for kind, names in re.findall(r"- `(\w+)`: (.*?)\.\n", section, re.S)
+    }
+    assert listed == {kind: accepted_parameters(kind) for kind in ("random", "nsga2", "linas")}

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_free_space, make_masked_space
+from conftest import make_free_space, make_masked_space, store_columns, stored_genotypes
 from linas_moo import linas
 from linas_moo.linas import (
     LinasConfig,
@@ -204,8 +204,8 @@ class TestInnerMeasure:
             assert (G[:, 0] != 0).all() and np.isfinite(F).all()
         rows, values = recording.accepted_rows()  # of the run with a store
         assert (rows[:, 0] != 0).all()
-        assert list(map(tuple, rows.tolist())) == [m.genotype for m in store]
-        assert list(map(tuple, values.tolist())) == [m.values for m in store]
+        assert rows.tolist() == store.genotype_matrix().tolist()
+        assert values.tolist() == store.values_matrix().tolist()
 
     def test_partly_non_finite_row_raises(self, free_space):
         cfg = EaConfig(population_size=4, max_evaluations=8, seed=0)
@@ -250,8 +250,8 @@ class TestInnerMeasure:
         assert G.tobytes() == out_G.tobytes()
         assert F.tobytes() == oriented_values(out_V, ACC_LAT).tobytes()
         rows, values = recording.accepted_rows()
-        assert list(map(tuple, rows.tolist())) == [m.genotype for m in out.store]
-        assert list(map(tuple, values.tolist())) == [m.values for m in out.store]
+        assert rows.tolist() == out.store.genotype_matrix().tolist()
+        assert values.tolist() == out.store.values_matrix().tolist()
 
 
 class TestInnerRowsNeedNoCheck:
@@ -417,6 +417,19 @@ class TestSelectBestUnique:
         assert self.select(pop, 5) == [(0, 0)]
         assert self.select(self.population([]), 5) == []
 
+    def test_count_zero_picks_nothing(self):
+        space = builtin_space("ncf")
+        G = space.sample_batch(np.random.default_rng(0), 10)
+        F = np.random.default_rng(1).normal(size=(10, 2))
+        chosen = select_best_unique(space, G, F, 0, set())
+        assert chosen.dtype == np.int64 and chosen.shape == (0, space.n_variables)
+        assert self.select(self.population([((0, 0), (1.0, 1.0))]), 0) == []
+
+    def test_negative_count_raises(self):
+        pop = self.population([((0, 0), (1.0, 1.0))])
+        with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+            select_best_unique(self.SPACE, *pop, -1, set())
+
     def test_out_of_range_index_raises_before_keying(self):
         # 256 does not fit the uint8 row key: cast unchecked, it would key as
         # the stored row with 0 at that slot, and the pick would read as seen.
@@ -437,10 +450,10 @@ class TestRunLinas:
         space, land = small_problem()
         out = run_linas(space, land, ACC_LAT, quick_config())
         assert len(out.store) == 30
-        tags = [m.iteration for m in out.store]
-        assert tags == [1] * 10 + [2] * 10 + [3] * 10
-        assert all(m.source == "linas" for m in out.store)
-        assert [m.eval_index for m in out.store] == list(range(1, 31))
+        cols = store_columns(out.store)
+        assert cols.iteration == [1] * 10 + [2] * 10 + [3] * 10
+        assert cols.source == ["linas"] * 30
+        assert cols.eval_index == list(range(1, 31))
 
     def test_real_evaluator_called_exactly_budget_times(self):
         space, land = small_problem()
@@ -458,7 +471,7 @@ class TestRunLinas:
         b.store.to_jsonl(pb)
         assert pa.read_bytes() == pb.read_bytes()
         c = run_linas(space, land, ACC_LAT, quick_config(seed=5))
-        assert [m.genotype for m in c.store] != [m.genotype for m in a.store]
+        assert stored_genotypes(c.store) != stored_genotypes(a.store)
 
     def test_single_iteration_matches_random_search_modulo_tags(self):
         space, land = small_problem()
@@ -468,12 +481,12 @@ class TestRunLinas:
             quick_config(population_size=12, iterations=1, seed=8),
         )
         assert len(linas.store) == 12
-        for mr, ml in zip(rand.store, linas.store):
-            assert mr.genotype == ml.genotype
-            assert mr.values == ml.values
-            assert mr.eval_index == ml.eval_index
-            assert (mr.source, mr.iteration) == ("random", 0)
-            assert (ml.source, ml.iteration) == ("linas", 1)
+        assert linas.store.genotype_matrix().tolist() == rand.store.genotype_matrix().tolist()
+        assert linas.store.values_matrix().tobytes() == rand.store.values_matrix().tobytes()
+        r, g = store_columns(rand.store), store_columns(linas.store)
+        assert r.eval_index == g.eval_index == list(range(1, 13))
+        assert (r.source, r.iteration) == (["random"] * 12, [0] * 12)
+        assert (g.source, g.iteration) == (["linas"] * 12, [1] * 12)
 
     def test_models_fitted_per_iteration_per_objective(self, monkeypatch):
         fitted = []
@@ -488,7 +501,7 @@ class TestRunLinas:
         cfg = quick_config(predictor_kinds=("ridge", "ridge"))
         out = run_linas(space, land, ACC_LAT, cfg)
         assert len(fitted) == (cfg.iterations - 1) * 2
-        probe = featurize_batch(space, [m.genotype for m in out.store][:5])
+        probe = featurize_batch(space, out.store.genotype_matrix()[:5])
         for model in fitted:
             assert model.predict(probe).shape == (5,)
 
@@ -505,7 +518,7 @@ class TestRunLinas:
         cfg = quick_config()
         out = run_linas(space, land, ACC_LAT, cfg)
         assert len(out.store) == 30
-        assert all(m.source == "linas" for m in out.store)
+        assert store_columns(out.store).source == ["linas"] * 30
         assert len(calls) == cfg.iterations - 1
         for store, G in calls:
             assert store is None
@@ -525,7 +538,8 @@ class TestRunLinas:
         cfg = quick_config()
         out = run_linas(space, land, ACC_LAT, cfg)
         assert [i for i, _ in picks] == list(range(1, cfg.iterations))
-        tags = {m.genotype: (m.source, m.iteration) for m in out.store}
+        cols = store_columns(out.store)
+        tags = dict(zip(map(tuple, cols.genotypes.tolist()), zip(cols.source, cols.iteration)))
         for i, chosen in picks:
             assert len(chosen)
             for g in map(tuple, chosen.tolist()):
@@ -545,14 +559,14 @@ class TestRunLinas:
     def test_front_is_nondominated_subset_of_store(self):
         space, land = small_problem()
         out = run_linas(space, land, ACC_LAT, quick_config(seed=2))
-        records = list(out.store)
-        front = [records[i] for i in pareto_front(out.store.values_matrix(), ACC_LAT)]
+        V = out.store.values_matrix().tolist()
+        front = [V[i] for i in pareto_front(out.store.values_matrix(), ACC_LAT)]
         assert front
         for ind in front:
-            for m in out.store:
-                better_acc = m.values[0] > ind.values[0]
-                better_lat = m.values[1] < ind.values[1]
-                no_worse = m.values[0] >= ind.values[0] and m.values[1] <= ind.values[1]
+            for v in V:
+                better_acc = v[0] > ind[0]
+                better_lat = v[1] < ind[1]
+                no_worse = v[0] >= ind[0] and v[1] <= ind[1]
                 assert not (no_worse and (better_acc or better_lat))
 
     def test_budget_exceeding_cardinality_raises_upfront(self, masked_space):
@@ -577,8 +591,7 @@ class TestRunLinas:
             quick_config(population_size=4, iterations=3, inner_evaluations=20),
         )
         assert len(out.store) == 12
-        for m in out.store:
-            assert m.genotype in keep
+        assert set(stored_genotypes(out.store)) <= keep.keys()
 
     def test_outcome_type(self):
         space, land = small_problem()
@@ -589,7 +602,7 @@ class TestRunLinas:
         assert np.array_equal(G, out.store.genotype_matrix()[-10:])
         assert np.array_equal(V, out.store.values_matrix()[-10:])
         assert G.dtype == np.int64 and G.shape == (10, space.n_variables)
-        assert [m.iteration for m in list(out.store)[-10:]] == [3] * 10
+        assert store_columns(out.store).iteration[-10:] == [3] * 10
 
     def test_stacked_predictor_end_to_end(self):
         space, land = small_problem()

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     enumerate_canonicals, hard_objective_matrices, make_free_space, make_masked_space,
+    store_columns, stored_genotypes,
 )
 from linas_moo import moea
 from linas_moo.moea import (
@@ -16,7 +17,6 @@ from linas_moo.moea import (
     crossover_two_point,
     draw_unseen,
     environmental_selection,
-    mutate,
     rank_and_crowd,
     run_nsga2,
     run_random,
@@ -275,24 +275,26 @@ class TestCrossover:
 
 
 class TestMutate:
+    """The mutation ``nsga2_core`` runs: ``moea._mutator(counts, prob)(rng, G)``."""
+
     def test_zero_probability_is_identity(self):
         rng = search_rng(7)
         G = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
         counts = np.array([4, 4, 4, 4])
-        assert np.array_equal(mutate(rng, G, counts, 0.0), G)
+        assert np.array_equal(moea._mutator(counts, 0.0)(rng, G), G)
 
     def test_unit_probability_changes_every_mutable_position(self):
         rng = search_rng(8)
         G = np.tile([0, 1, 0, 2], (100, 1))
         counts = np.array([4, 4, 1, 3])
-        out = mutate(rng, G, counts, 1.0)
+        out = moea._mutator(counts, 1.0)(rng, G)
         assert np.all(out[:, 2] == 0)
         assert np.all(out[:, [0, 1, 3]] != G[:, [0, 1, 3]])
         assert np.all(out >= 0) and np.all(out < counts)
 
     def test_replacement_is_uniform_over_other_options(self):
         rng = search_rng(9)
-        draws = mutate(rng, np.full((20_000, 1), 2), np.array([5]), 1.0)[:, 0]
+        draws = moea._mutator(np.array([5]), 1.0)(rng, np.full((20_000, 1), 2))[:, 0]
         counts = np.bincount(draws, minlength=5)
         assert counts[2] == 0
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -300,7 +302,7 @@ class TestMutate:
 
 
 class TestUniformBoundDraws:
-    """``mutate`` and ``sample_batch`` pass a uniform array bound as its scalar.
+    """Mutation and ``sample_batch`` pass a uniform array bound as its scalar.
     That keeps every search's RNG stream only while numpy draws the same values,
     and leaves the generator in the same state, for both forms."""
 
@@ -617,13 +619,12 @@ class TestRandomSearch:
         out = run_random(free_space, evaluator, ACC_LAT, budget=10, seed=0)
         assert len(out.store) == 10
         G, V = out.population
-        assert G.tolist() == [list(m.genotype) for m in out.store]
+        assert G.tolist() == out.store.genotype_matrix().tolist()
         assert V.tobytes() == out.store.values_matrix().tobytes()
-        assert [m.eval_index for m in out.store] == list(range(1, 11))
-        assert all(m.source == "random" for m in out.store)
-        assert all(m.iteration == 0 for m in out.store)
-        genotypes = [m.genotype for m in out.store]
-        assert len(set(genotypes)) == 10
+        cols = store_columns(out.store)
+        assert cols.eval_index == list(range(1, 11))
+        assert cols.source == ["random"] * 10 and cols.iteration == [0] * 10
+        assert len(set(stored_genotypes(out.store))) == 10
 
     def test_deterministic_across_runs(self, free_space, tmp_path):
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
@@ -638,7 +639,7 @@ class TestRandomSearch:
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
         a = run_random(free_space, evaluator, ACC_LAT, budget=12, seed=0)
         b = run_random(free_space, evaluator, ACC_LAT, budget=12, seed=1)
-        assert [m.genotype for m in a.store] != [m.genotype for m in b.store]
+        assert stored_genotypes(a.store) != stored_genotypes(b.store)
 
     def test_exhaustion_error(self, masked_space):
         evaluator = FunctionEvaluator(lambda g: (1.0, 1.0))
@@ -662,9 +663,7 @@ class TestRandomSearch:
 
         evaluator = FunctionEvaluator(score)
         hits = sum(
-            any(m.genotype == best for m in run_random(
-                free_space, evaluator, ACC_LAT, budget=6, seed=s
-            ).store)
+            best in stored_genotypes(run_random(free_space, evaluator, ACC_LAT, budget=6, seed=s).store)
             for s in range(400)
         )
         p_hat = hits / 400
@@ -758,6 +757,17 @@ class TestDrawUnseen:
         assert got.shape == (0, 3) and got.dtype == np.int64 and misses == 0
         assert rng.bit_generator.state == state
 
+    def test_negative_count_raises(self, free_space):
+        rng = search_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+            draw_unseen(free_space, rng, -1, ())
+        store = EvaluationStore(free_space, ACC_LAT)
+        evaluator = FunctionEvaluator(lambda g: (1.0, 1.0))
+        with pytest.raises(ValueError, match="count must be non-negative, got -2"):
+            sample_fresh_into_store(free_space, evaluator, store, rng, -2, source="random")
+        assert rng.bit_generator.state == state and len(store) == 0
+
 
 class TestNsga2:
     def landscape(self, name="mobilenetv3", seed=0):
@@ -778,14 +788,14 @@ class TestNsga2:
         cfg = EaConfig(population_size=10, max_evaluations=43, seed=1)
         out = run_nsga2(space, land, ACC_LAT, cfg)
         assert len(out.store) == 43
-        assert [m.eval_index for m in out.store] == list(range(1, 44))
-        assert all(m.source == "nsga2" for m in out.store)
+        cols = store_columns(out.store)
+        assert cols.eval_index == list(range(1, 44)) and cols.source == ["nsga2"] * 43
 
     def test_iteration_tags_are_generations(self):
         space, land = self.landscape()
         cfg = EaConfig(population_size=10, max_evaluations=35, seed=2)
         out = run_nsga2(space, land, ACC_LAT, cfg)
-        tags = [m.iteration for m in out.store]
+        tags = store_columns(out.store).iteration
         assert tags[:10] == [0] * 10
         assert tags == sorted(tags)
         assert max(tags) == out.generations
@@ -803,7 +813,7 @@ class TestNsga2:
         c = run_nsga2(space, land, ACC_LAT, EaConfig(
             population_size=10, max_evaluations=40, seed=6
         ))
-        assert [m.genotype for m in c.store] != [m.genotype for m in a.store]
+        assert stored_genotypes(c.store) != stored_genotypes(a.store)
 
     def test_generation_cap(self):
         space, land = self.landscape()
@@ -834,12 +844,14 @@ class TestNsga2:
             assert values == out.store.values_matrix()[row[g]].tolist()
 
     def test_small_space_terminates_via_stall_guard(self, masked_space):
+        # A budget above the space's 24 configs is never spent: the search
+        # stops after _STALL_GENERATIONS generations with no new config.
         evaluator = FunctionEvaluator(lambda g: (float(sum(g)), float(g[0])))
-        cfg = EaConfig(
-            population_size=4, max_evaluations=24, seed=0, stall_generations=8
-        )
+        cfg = EaConfig(population_size=4, max_evaluations=30, seed=0)
         out = run_nsga2(masked_space, evaluator, ACC_LAT, cfg)
         assert 4 <= len(out.store) <= 24
+        last_growth = store_columns(out.store).iteration[-1]
+        assert out.generations == last_growth + moea._STALL_GENERATIONS
 
     def test_rejecting_evaluator_keeps_search_inside_table(self, free_space):
         # Table covers only half the space; rejected configs never enter the
@@ -852,13 +864,10 @@ class TestNsga2:
             if (a + b + c) % 2 == 0
         }
         table = TabularEvaluator(free_space, keep, 2, missing_policy="nearest-reject")
-        cfg = EaConfig(
-            population_size=4, max_evaluations=8, seed=1, stall_generations=6
-        )
+        cfg = EaConfig(population_size=4, max_evaluations=8, seed=1)
         out = run_nsga2(free_space, table, ACC_LAT, cfg)
         assert len(out.store) <= len(keep)
-        for m in out.store:
-            assert m.genotype in keep
+        assert set(stored_genotypes(out.store)) <= keep.keys()
 
     def test_negation_equivalence(self):
         space, land = self.landscape()
@@ -870,7 +879,7 @@ class TestNsga2:
         cfg = EaConfig(population_size=10, max_evaluations=40, seed=9)
         a = run_nsga2(space, land, ACC_LAT, cfg)
         b = run_nsga2(space, negated, both_min, cfg)
-        assert [m.genotype for m in a.store] == [m.genotype for m in b.store]
+        assert stored_genotypes(a.store) == stored_genotypes(b.store)
         assert front_genotypes(a, ACC_LAT) == front_genotypes(b, both_min)
 
     def test_config_validation(self):
@@ -884,8 +893,8 @@ class TestNsga2:
             EaConfig(mutation_prob=-0.1)
         with pytest.raises(ValueError):
             EaConfig(max_generations=-1)
-        with pytest.raises(ValueError):
-            EaConfig(stall_generations=0)
+        with pytest.raises(TypeError, match="stall_generations"):  # a module constant now
+            EaConfig(stall_generations=50)
 
 
 def reject_first_option(g):
@@ -946,7 +955,7 @@ class TestMeasureProtocol:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_small_space_with_rejections(self, monkeypatch, masked_space, seed):
-        cfg = EaConfig(population_size=6, max_evaluations=20, seed=seed, stall_generations=10)
+        cfg = EaConfig(population_size=6, max_evaluations=20, seed=seed)
         offered, calls = self.record(
             monkeypatch, masked_space, cfg, reject=lambda g: sum(g) % 5 == 0
         )
@@ -1048,13 +1057,13 @@ class TestRejectedRows:
     def test_random_fills_budget_with_accepted_configs(self, free_space):
         out = run_random(free_space, FunctionEvaluator(reject_first_option), ACC_LAT, 12, seed=0)
         assert len(out.store) == 12
-        assert all(m.genotype[0] != 0 for m in out.store)
+        assert (out.store.genotype_matrix()[:, 0] != 0).all()
 
     def test_nsga2_fills_budget_with_accepted_configs(self, free_space):
         cfg = EaConfig(population_size=4, max_evaluations=12, seed=2)
         out = run_nsga2(free_space, FunctionEvaluator(reject_first_option), ACC_LAT, cfg)
         assert len(out.store) == 12
-        assert all(m.genotype[0] != 0 for m in out.store)
+        assert (out.store.genotype_matrix()[:, 0] != 0).all()
         assert (out.population[0][:, 0] != 0).all()
 
     def test_sample_fresh_counts_only_accepted_rows(self, free_space):

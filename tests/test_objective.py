@@ -9,7 +9,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import enumerate_canonicals, make_free_space, make_masked_space
+from conftest import (
+    enumerate_canonicals, make_free_space, make_masked_space, store_columns, stored_genotypes,
+)
 from linas_moo import objective
 from linas_moo.objective import (
     MAXIMIZE,
@@ -57,7 +59,7 @@ class TestEvaluationStore:
             # Batches with repeats and stored genotypes keep indices gapless.
             batch = space.sample_batch(rng, 4)
             store.insert_batch(batch, [(1.0, 2.0)] * 4, source="t")
-        assert [m.eval_index for m in store] == list(range(1, len(store) + 1))
+        assert store_columns(store).eval_index == list(range(1, len(store) + 1))
 
     def test_duplicate_reported_not_stored(self):
         store = self.make_store()
@@ -76,10 +78,8 @@ class TestEvaluationStore:
             iteration=2,
         )
         assert new == 2
-        assert [(m.eval_index, m.genotype, m.values, m.iteration) for m in store][1:] == [
-            (2, (1, 2, 1, 0), (3.0, 4.0), 2),
-            (3, (0, 2, 0, 1), (5.0, 6.0), 2),
-        ]
+        cols = store_columns(store)
+        assert (cols.eval_index, cols.iteration) == ([1, 2, 3], [0, 2, 2])
         assert store.genotype_matrix().tolist() == [[0, 1, 0, 0], [1, 2, 1, 0], [0, 2, 0, 1]]
         assert store.values_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
@@ -143,10 +143,19 @@ class TestEvaluationStore:
                     new += 1
             assert store.insert_batch(G, V, source=f"s{it % 3}", iteration=it) == new
         assert len(store) == len(rows) == len(position) > 64  # several doublings
-        assert [tuple(vars(m).values()) for m in store] == rows
+        cols = store_columns(store)
+        assert list(zip(cols.eval_index, cols.source, cols.iteration)) == [
+            (r[0], r[3], r[4]) for r in rows
+        ]
         assert store.genotype_matrix().tolist() == [list(r[1]) for r in rows]
         assert store.values_matrix().tolist() == [list(r[2]) for r in rows]
         assert all(key in store for key in space.row_keys(np.array(list(position))))
+
+    def test_rows_are_read_as_arrays_not_iterated(self):
+        store = self.make_store()
+        store.insert_batch([(0, 1, 0, 0)], [(1.0, 2.0)], source="t")
+        with pytest.raises(TypeError):
+            iter(store)
 
     def test_lookups_take_row_keys_only(self):
         store = self.make_store()
@@ -193,8 +202,9 @@ class TestEvaluationStore:
         store.to_jsonl(p1)
         store.to_jsonl(p2)
         assert p1.read_bytes() == p2.read_bytes()
-        back = read_measurements_jsonl(p1)
-        assert back == list(store)
+        cols = read_measurement_columns(p1)
+        assert_reads_back(cols, store)
+        assert (cols.source, cols.iteration) == (["t"] * 10, [2] * 10)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -216,7 +226,7 @@ class TestEvaluationStore:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         with pytest.raises(ValueError, match=message):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     def test_jsonl_line_schema(self, tmp_path):
         store = self.make_store()
@@ -233,23 +243,32 @@ class TestEvaluationStore:
         }
 
 
-def reference_jsonl(store, extra=None) -> str:
-    """The writer's bytes by definition: ``json.dumps(obj, sort_keys=True)`` per record."""
+def assert_reads_back(cols, store):
+    """``cols``, read from the store's file, hold its rows in order, indexed from 1."""
+    assert cols.eval_index == list(range(1, len(store) + 1))
+    assert cols.genotypes.tolist() == store.genotype_matrix().tolist()
+    assert cols.values.tobytes() == store.values_matrix().tobytes()
+
+
+def reference_jsonl(store, tags, extra=None) -> str:
+    """The writer's bytes by definition: ``json.dumps(obj, sort_keys=True)`` per
+    record, whose ``(source, iteration)`` is its item of ``tags``."""
     extra = extra or {}
+    rows = zip(stored_genotypes(store), store.values_matrix().tolist(), tags)
     return "".join(
         json.dumps(
             {
-                "eval_index": m.eval_index,
-                "genotype": "-".join(map(str, m.genotype)),
-                "values": list(m.values),
-                "source": m.source,
-                "iteration": m.iteration,
+                "eval_index": i + 1,
+                "genotype": "-".join(map(str, g)),
+                "values": v,
+                "source": source,
+                "iteration": iteration,
             }
             | {key: column[i] for key, column in extra.items()},
             sort_keys=True,
         )
         + "\n"
-        for i, m in enumerate(store)
+        for i, (g, v, (source, iteration)) in enumerate(rows)
     )
 
 
@@ -334,6 +353,7 @@ class TestJsonlCodec:
             source="plain",
         )
         n = len(store)
+        tags = [('say "hi" \\ back', 1)] * 7 + [("naïve ☃\ttab", 2)] * 2 + [("plain", 0)] * (n - 9)
         extra = {
             "a": [None if i % 2 else f"é{i}" for i in range(n)],
             "latency_normalized": [i / 7 for i in range(n)],
@@ -342,8 +362,10 @@ class TestJsonlCodec:
         for ext in (None, extra):
             path = tmp_path / "w.jsonl"
             store.to_jsonl(path, ext)
-            assert path.read_text(encoding="utf-8") == reference_jsonl(store, ext)
-        assert read_measurements_jsonl(path) == list(store)
+            assert path.read_text(encoding="utf-8") == reference_jsonl(store, tags, ext)
+        cols = read_measurement_columns(path)
+        assert_reads_back(cols, store)
+        assert list(zip(cols.source, cols.iteration)) == tags
 
     def test_writer_keys_and_cells_follow_json_dumps(self, tmp_path):
         store = landscape_store(300)
@@ -355,7 +377,8 @@ class TestJsonlCodec:
         }
         path = tmp_path / "w.jsonl"
         store.to_jsonl(path, extra)
-        assert path.read_text(encoding="utf-8") == reference_jsonl(store, extra)
+        # The 300 distinct rows are one batch, tagged as its first.
+        assert path.read_text(encoding="utf-8") == reference_jsonl(store, [("nsga2", 0)] * n, extra)
         with pytest.raises(ValueError, match="every extra column needs 300 values, one per row"):
             store.to_jsonl(path, {"Z": [1.0] * (n - 1)})
 
@@ -382,22 +405,22 @@ class TestJsonlCodec:
     def test_reader_accepts_only_what_the_writer_writes(self, tmp_path, change, message):
         path = self.written(tmp_path, json.dumps(self.GOOD | change))
         with pytest.raises(ValueError, match=re.escape(f"bad.jsonl:2: {message}")):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"text"', "str"), ("7", "int")])
     def test_line_must_be_an_object(self, tmp_path, line, kind):
         path = self.written(tmp_path, line)
         with pytest.raises(ValueError, match=f"bad.jsonl:2: expected a JSON object, got {kind}"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path):
         bad_schema = json.dumps(self.GOOD | {"eval_index": 2.5})
         path = self.written(tmp_path, bad_schema, "{not json")
         with pytest.raises(ValueError, match="bad.jsonl:2: eval_index"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
         path = self.written(tmp_path, "{not json", bad_schema)
         with pytest.raises(ValueError, match="bad.jsonl:2: Expecting property name"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     @pytest.mark.parametrize(
         "change",
@@ -411,7 +434,7 @@ class TestJsonlCodec:
         change, message = change
         path = big_file(tmp_path, change)
         with pytest.raises(ValueError, match=re.escape(f"big.jsonl:1500: {message}")):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     def test_file_is_opened_once_to_name_a_bad_line(self, tmp_path, monkeypatch):
         path = big_file(tmp_path, {"source": 3})
@@ -433,11 +456,11 @@ class TestJsonlCodec:
         lines[1499] = lines[1499].replace(b'"nsga2"', b'"nsg\xff"')
         path.write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match="big.jsonl:1500: 'utf-8' codec can't decode byte"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
         lines[1000] = b"{not json\n"  # an earlier bad line is named first
         path.write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match="big.jsonl:1001: Expecting property name"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     def test_blank_lines_and_crlf_count_as_lines(self, tmp_path):
         store = landscape_store(40)
@@ -447,29 +470,35 @@ class TestJsonlCodec:
         for i, line in enumerate(path.read_text().splitlines()):
             lines += [line, "", "  \t"] if i % 3 == 0 else [line]
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        assert read_measurements_jsonl(path) == list(store)
+        assert_reads_back(read_measurement_columns(path), store)
         lines[20] = "{not json"
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
         with pytest.raises(ValueError, match="crlf.jsonl:21: Expecting property name"):
-            read_measurements_jsonl(path)
+            read_measurement_columns(path)
 
     def test_large_round_trip_and_columns(self, tmp_path):
         store = landscape_store(20_000, seed=3)
         path = tmp_path / "big.jsonl"
         store.to_jsonl(path)
-        assert read_measurements_jsonl(path) == list(store)
         cols = read_measurement_columns(path)
         assert cols.genotypes.dtype == np.int64 and cols.values.dtype == np.float64
-        assert np.array_equal(cols.genotypes, [m.genotype for m in store])
-        assert np.array_equal(cols.values, store.values_matrix())
-        assert cols.eval_index == list(range(1, 20_001))
-        assert cols.iteration == [m.iteration for m in store]
+        assert_reads_back(cols, store)
+        assert (cols.source, cols.iteration) == (["nsga2"] * 20_000, [0] * 20_000)
+
+    def test_measurement_records_are_the_columns_line_by_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        landscape_store(40).to_jsonl(path)
+        c = read_measurement_columns(path)
+        rows = zip(c.eval_index, c.genotypes.tolist(), c.values.tolist(), c.source, c.iteration)
+        assert read_measurements_jsonl(path) == [
+            Measurement(i, tuple(g), tuple(v), source, it) for i, g, v, source, it in rows
+        ]
 
     def test_empty_file_reads_as_no_rows(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n \n")
-        assert read_measurements_jsonl(path) == []
-        assert len(read_measurement_columns(path)) == 0
+        cols = read_measurement_columns(path)
+        assert len(cols) == 0 and cols.eval_index == cols.source == cols.iteration == []
 
 
 class TestNormalizeLatency:
@@ -721,7 +750,7 @@ class TestTabularEvaluator:
 
     def test_undecodable_byte_in_csv_is_named_by_its_line(self, tmp_path):
         store = landscape_store(2000)
-        table = {m.genotype: m.values for m in store}
+        table = dict(zip(stored_genotypes(store), map(tuple, store.values_matrix().tolist())))
         path = tmp_path / "table.csv"
         TabularEvaluator(store.space, table, 2).write_csv(path)
         lines = path.read_bytes().splitlines(keepends=True)

@@ -476,6 +476,12 @@ class TestMape:
         with pytest.raises(ValueError):
             mape([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, bad):
+        for p, a in (([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 2.0])):
+            with pytest.raises(ValueError, match="must be finite"):
+                mape(p, a)
+
 
 class TestKendallTau:
     def test_perfect_orders(self):
@@ -511,6 +517,13 @@ class TestKendallTau:
     def test_fully_tied_raises(self):
         with pytest.raises(UndefinedMetricError):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, bad):
+        # A NaN compares as tied with every value: [1, 2, nan] read as tau 0.577.
+        for x, y in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="must be finite"):
+                kendall_tau(x, y)
 
     @pytest.mark.parametrize("block_pairs", [1, 7, 64, 2500])
     def test_row_blocks_match_loop_oracle_exactly(self, monkeypatch, block_pairs):

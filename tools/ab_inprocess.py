@@ -14,7 +14,7 @@ Per case it prints each side's median and quartiles
 (``statistics.quantiles(n=4)``), the median change/parent ratio of the pairs,
 how many pairs the change ran faster, and whether both sides' outputs were
 equal bit for bit in every run: a digest of the returned arrays, or of a
-store's JSONL bytes.
+store's JSONL bytes. A case may add a line that describes each side's output.
 
 Cases (default: every case but ``linas_tiny``):
 
@@ -25,6 +25,16 @@ Cases (default: every case but ``linas_tiny``):
 - ``selection``: ``environmental_selection`` on each of the 400 pools of the
   first inner search of ``linas_paper_ridge``, recorded once with the
   parent's package and handed to both sides; one run takes every pool 5 times.
+- ``svr_fit``, ``ridge_fit``: one fit each (ridge: ``RIDGE_REPEATS`` each) at
+  n = 100, 500 and 1,000 (``FIT_SIZES``) on the first n of the ncf rows that
+  ``predictor-analysis`` draws at seed 0, accuracy target on the landscape
+  above. The output is the fitted coefficients; ``svr_fit`` digests
+  ``dual_coef_``, ``intercept_`` and ``kkt_gap_`` and prints each fit's
+  ``n_iter_`` and ``converged_``.
+- ``hv_trace_3k``: ``hv_trace`` at strides 1 and 10 on the store of a
+  3,000-row (``HV_ROWS``) random search on mobilenetv3.
+- ``store_insert``: 10,000 (``STORE_ROWS``) distinct mobilenetv3 rows and
+  their values inserted into a new store in 50-row batches.
 - ``linas_tiny``: ``run_linas`` on ncf, 10 x 3, 200 inner queries; a quick check.
 
 Timings in one process resolve smaller differences than whole benchmark
@@ -45,6 +55,10 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FIT_SIZES = (100, 500, 1000)
+RIDGE_REPEATS = 20
+HV_ROWS = 3000
+STORE_ROWS, STORE_BATCH = 10_000, 50
 
 
 def load(checkout: Path, side: str):
@@ -112,11 +126,16 @@ def record_pools(pkg) -> list:
 
 
 def arrays_digest(results) -> str:
+    """SHA-256 over each result's items: arrays by dtype, shape and bytes; numbers
+    and tuples of numbers by their exact ``repr``."""
     h = hashlib.sha256()
     for arrays in results:
         for a in arrays:
-            h.update(f"{a.dtype.str}{a.shape}".encode())
-            h.update(a.tobytes())
+            if isinstance(a, (float, tuple)):
+                h.update(repr(a).encode())
+            else:
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -125,10 +144,79 @@ def selection_setup(pkg, pools):
     return lambda: [select(G, F, p) for _ in range(5) for G, F, p in pools], arrays_digest
 
 
+def ncf_dataset(pkg, rows: int):
+    """Features and accuracy of the first ``rows`` ncf configs ``predictor-analysis`` draws at seed 0."""
+    space = pkg.builtin_space("ncf")
+    G, _ = pkg.moea.draw_unseen(space, pkg.search_rng(0), rows, ())
+    land = pkg.SyntheticLandscape.from_seed(space, seed=0, rho=0.8)
+    return pkg.featurize_batch(space, G), land.evaluate_batch(G)[:, 0]
+
+
+def svr_setup(pkg, _shared):
+    X, y = ncf_dataset(pkg, max(FIT_SIZES))
+
+    def run():
+        return [pkg.make_predictor("svr_rbf").fit(X[:n], y[:n]) for n in FIT_SIZES]
+
+    def digest(models):
+        return arrays_digest((m.dual_coef_, m.intercept_, m.kkt_gap_) for m in models)
+
+    def describe(models):
+        return "  ".join(f"n={n}: {m.n_iter_} it, converged {m.converged_}"
+                         for n, m in zip(FIT_SIZES, models))
+
+    return run, digest, describe
+
+
+def ridge_setup(pkg, _shared):
+    X, y = ncf_dataset(pkg, max(FIT_SIZES))
+
+    def run():
+        return [pkg.make_predictor("ridge").fit(X[:n], y[:n])
+                for n in FIT_SIZES for _ in range(RIDGE_REPEATS)]
+
+    return run, lambda models: arrays_digest((m.coef_, m.intercept_) for m in models)
+
+
+def random_store(pkg, rows: int):
+    """The store of a ``rows``-row random search on mobilenetv3 (landscape seed 0, rho 0.8)."""
+    space = pkg.builtin_space("mobilenetv3")
+    land = pkg.SyntheticLandscape.from_seed(space, seed=0, rho=0.8)
+    return pkg.run_random(space, land, objectives(pkg), rows, seed=0).store
+
+
+def hv_trace_setup(pkg, _shared):
+    store = random_store(pkg, HV_ROWS)
+
+    def run():
+        return [pkg.hv_trace(store, stride=stride) for stride in (1, 10)]
+
+    return run, lambda traces: arrays_digest(
+        (t.counts, t.hypervolumes, t.reference) for t in traces
+    )
+
+
+def store_insert_setup(pkg, _shared):
+    source = random_store(pkg, STORE_ROWS)
+    G, V = source.genotype_matrix(), source.values_matrix()
+
+    def run():
+        store = pkg.EvaluationStore(source.space, source.objectives)
+        for lo in range(0, len(G), STORE_BATCH):
+            store.insert_batch(G[lo:lo + STORE_BATCH], V[lo:lo + STORE_BATCH], source="random")
+        return store
+
+    return run, store_digest
+
+
 CASES = {
     "linas_paper_ridge": linas_case("mobilenetv3", ("ridge",), 0),
     "linas_paper_stacked": linas_case("mobilenetv3", ("stacked", "ridge"), 1),
     "selection": (record_pools, selection_setup),
+    "svr_fit": (None, svr_setup),
+    "ridge_fit": (None, ridge_setup),
+    "hv_trace_3k": (None, hv_trace_setup),
+    "store_insert": (None, store_insert_setup),
     "linas_tiny": linas_case("ncf", ("ridge",), 0, population=10, iterations=3, inner=200),
 }
 DEFAULT_CASES = [name for name in CASES if name != "linas_tiny"]
@@ -154,11 +242,13 @@ def compare(packages: dict, case: str, pairs: int) -> dict:
     runs = {side: setup(packages[side], shared) for side in SIDES}
     seconds = {side: [] for side in SIDES}
     digests = {side: set() for side in SIDES}
+    notes = {}
     for i in range(-1, pairs):  # pair -1 warms up, untimed
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            run, digest = runs[side]
+            run, digest, *describe = runs[side]
             elapsed, out = timed(run)
             digests[side].add(digest(out))
+            notes[side] = describe[0](out) if describe else None
             if i >= 0:
                 seconds[side].append(elapsed)
     ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
@@ -169,6 +259,7 @@ def compare(packages: dict, case: str, pairs: int) -> dict:
         "median_ratio": statistics.median(ratios),
         "change_faster": sum(c < p for p, c in zip(seconds["parent"], seconds["change"])),
         "outputs_equal": len(digests["parent"]) == 1 and digests["parent"] == digests["change"],
+        "notes": notes,
     }
 
 
@@ -177,8 +268,10 @@ def format_row(r: dict) -> str:
         f"{r[side]['median']:.4f} [{r[side]['q1']:.4f}, {r[side]['q3']:.4f}]" for side in SIDES
     )
     outputs = "equal" if r["outputs_equal"] else "DIFFER"
-    return (f"{r['case']:<20} {sides}  {r['median_ratio']:.3f}  "
-            f"{r['change_faster']}/{r['pairs']}  {outputs}")
+    row = (f"{r['case']:<20} {sides}  {r['median_ratio']:.3f}  "
+           f"{r['change_faster']}/{r['pairs']}  {outputs}")
+    notes = [f"  {side}: {r['notes'][side]}" for side in SIDES if r["notes"].get(side)]
+    return "\n".join([row] + notes)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
